@@ -402,7 +402,7 @@ let run_reach_bench nets =
   let ref_iters = sum_iters snd ref_results in
   let counter name = Option.value ~default:0 (Rd_util.Metrics.counter_value metrics name) in
   let hits = counter "pset.memo_hits" and misses = counter "pset.memo_misses" in
-  let nodes = counter "pset.nodes" in
+  let nodes = counter "pset.nodes" and resets = counter "pset.resets" in
   let hit_rate =
     if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)
   in
@@ -425,8 +425,9 @@ let run_reach_bench nets =
         Printf.sprintf "%.2fx" (ref_s /. rounds_s) ];
     ];
   Printf.printf
-    "kernel during worklist pass: %d nodes allocated, %d memo hits / %d misses (%.1f%% hit rate)\n"
-    nodes hits misses (100.0 *. hit_rate);
+    "kernel during worklist pass: %d nodes allocated, %d memo hits / %d misses (%.1f%% hit \
+     rate), %d table resets\n"
+    nodes hits misses (100.0 *. hit_rate) resets;
   (* Prefix-set operation micro-benchmarks on study-derived sets: the
      kernel amortizes repeated algebra to a cache probe; the structural
      reference rebuilds every time. *)
@@ -484,6 +485,7 @@ let run_reach_bench nets =
                  ("nodes", Rd_util.Json.Int nodes);
                  ("memo_hits", Rd_util.Json.Int hits);
                  ("memo_misses", Rd_util.Json.Int misses);
+                 ("resets", Rd_util.Json.Int resets);
                  ("hit_rate", Rd_util.Json.Float hit_rate);
                ] );
            ( "ops_ns",

@@ -47,6 +47,7 @@ type stats_cell = {
   mutable s_nodes : int;
   mutable s_hits : int;
   mutable s_misses : int;
+  mutable s_resets : int;
 }
 
 (* Every domain's counters are registered here once, at table creation;
@@ -67,7 +68,7 @@ let cache_limit = 1 lsl 20
 
 let table_key : table Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let cell = { s_nodes = 0; s_hits = 0; s_misses = 0 } in
+      let cell = { s_nodes = 0; s_hits = 0; s_misses = 0; s_resets = 0 } in
       Mutex.protect stats_mutex (fun () -> stats_registry := cell :: !stats_registry);
       {
         nodes = Hashtbl.create 4096;
@@ -79,11 +80,20 @@ let table_key : table Domain.DLS.key =
 
 let table () = Domain.DLS.get table_key
 
+(* Discard one of [tbl]'s tables once it outgrows [cache_limit],
+   counting the reset: a nonzero [resets] in {!stats} means the caches
+   thrashed and later stages lost their sharing. *)
+let reset_if_full tbl h =
+  if Hashtbl.length h > cache_limit then begin
+    Hashtbl.reset h;
+    tbl.cell.s_resets <- tbl.cell.s_resets + 1
+  end
+
 let reset_if_oversized tbl =
-  if Hashtbl.length tbl.nodes > cache_limit then Hashtbl.reset tbl.nodes;
-  if Hashtbl.length tbl.memo > cache_limit then Hashtbl.reset tbl.memo;
-  if Hashtbl.length tbl.memo_subset > cache_limit then Hashtbl.reset tbl.memo_subset;
-  if Hashtbl.length tbl.memo_count > cache_limit then Hashtbl.reset tbl.memo_count
+  reset_if_full tbl tbl.nodes;
+  reset_if_full tbl tbl.memo;
+  reset_if_full tbl tbl.memo_subset;
+  reset_if_full tbl tbl.memo_count
 
 let empty = Empty
 let full = Full
@@ -133,7 +143,7 @@ let memo_bin tbl op a b compute =
     | None ->
       tbl.cell.s_misses <- tbl.cell.s_misses + 1;
       let r = compute () in
-      if Hashtbl.length tbl.memo > cache_limit then Hashtbl.reset tbl.memo;
+      reset_if_full tbl tbl.memo;
       Hashtbl.add tbl.memo key r;
       r
   end
@@ -186,9 +196,28 @@ let of_prefix p =
   in
   build 0
 
-let of_prefixes ps = List.fold_left (fun acc p -> union acc (of_prefix p)) empty ps
+(* Bulk construction.  Rather than folding [union] over one-prefix
+   tries — ~32 fresh nodes and ~32 memo writes per insert — descend the
+   address bits once, splitting the prefix list by the bit at each
+   depth.  A subtree is [Full] as soon as some prefix is no longer than
+   its depth, [Empty] when no prefix reaches it; otherwise it is [node]
+   over the two halves.  Building through [node] keeps the trie
+   canonical and hash-consed, so within one domain the result is the
+   very node the fold would return, without touching the memo tables. *)
+let of_prefixes ps =
+  let rec build depth = function
+    | [] -> Empty
+    | ps when List.exists (fun p -> Prefix.len p <= depth) ps -> Full
+    | ps ->
+      let bit = 1 lsl (31 - depth) in
+      let zeros, ones =
+        List.partition (fun p -> Ipv4.to_int (Prefix.addr p) land bit = 0) ps
+      in
+      node (build (depth + 1) zeros) (build (depth + 1) ones)
+  in
+  build 0 ps
+
 let singleton a = of_prefix (Prefix.host a)
-let add p t = union (of_prefix p) t
 let remove p t = diff t (of_prefix p)
 
 let is_empty = function Empty -> true | _ -> false
@@ -228,8 +257,7 @@ let rec subset a b =
         | None ->
           tbl.cell.s_misses <- tbl.cell.s_misses + 1;
           let r = subset na.l nb.l && subset na.r nb.r in
-          if Hashtbl.length tbl.memo_subset > cache_limit then
-            Hashtbl.reset tbl.memo_subset;
+          reset_if_full tbl tbl.memo_subset;
           Hashtbl.add tbl.memo_subset key r;
           r
       end
@@ -277,7 +305,7 @@ let rec count_subtree ~depth t =
         let c =
           count_subtree ~depth:(depth + 1) n.l + count_subtree ~depth:(depth + 1) n.r
         in
-        if Hashtbl.length tbl.memo_count > cache_limit then Hashtbl.reset tbl.memo_count;
+        reset_if_full tbl tbl.memo_count;
         Hashtbl.add tbl.memo_count key c;
         c
     end
@@ -291,7 +319,7 @@ let view = function
   | Full -> Full_v
   | Node n -> Split_v (n.l, n.r)
 
-type stats = { nodes : int; memo_hits : int; memo_misses : int }
+type stats = { nodes : int; memo_hits : int; memo_misses : int; resets : int }
 
 let stats () =
   let cells = Mutex.protect stats_mutex (fun () -> !stats_registry) in
@@ -301,8 +329,9 @@ let stats () =
         nodes = acc.nodes + c.s_nodes;
         memo_hits = acc.memo_hits + c.s_hits;
         memo_misses = acc.memo_misses + c.s_misses;
+        resets = acc.resets + c.s_resets;
       })
-    { nodes = 0; memo_hits = 0; memo_misses = 0 }
+    { nodes = 0; memo_hits = 0; memo_misses = 0; resets = 0 }
     cells
 
 let pp ppf t =

@@ -33,7 +33,12 @@ val of_prefix : Prefix.t -> t
 (** All addresses covered by one prefix. *)
 
 val of_prefixes : Prefix.t list -> t
-(** Union of the given prefixes (overlaps are fine). *)
+(** Union of the given prefixes (overlaps and duplicates are fine).
+    Built in bulk: one descent over the address bits that splits the
+    list by one bit per level, so it allocates only the nodes of the
+    result and does no memo traffic.  Prefer it to folding {!union}
+    over one-prefix sets.  The result equals the fold semantically and,
+    within one domain, physically (see DESIGN.md §12). *)
 
 val singleton : Ipv4.t -> t
 (** A single host address (a /32). *)
@@ -50,9 +55,6 @@ val diff : t -> t -> t
 
 val complement : t -> t
 (** All addresses not in the set. *)
-
-val add : Prefix.t -> t -> t
-(** [add p s]: [union (of_prefix p) s]. *)
 
 val remove : Prefix.t -> t -> t
 (** [remove p s]: [diff s (of_prefix p)]. *)
@@ -107,16 +109,18 @@ val view : t -> view
     one-bit halves.  Lets algorithms walk the trie in lockstep with their
     own recursion without re-intersecting. *)
 
-type stats = { nodes : int; memo_hits : int; memo_misses : int }
+type stats = { nodes : int; memo_hits : int; memo_misses : int; resets : int }
 
 val stats : unit -> stats
 (** Cumulative kernel counters summed over every domain that touched the
-    kernel since program start: hash-consed nodes allocated, and memo
-    cache hits/misses across all memoized operations.  Reads of other
-    domains' counters are unsynchronized (advisory numbers for metrics
-    and benches — surfaced as the [pset.nodes]/[pset.memo_hits]/
-    [pset.memo_misses] counters by {!Rd_reach.Reachability.compute} and
-    the bench harness). *)
+    kernel since program start: hash-consed nodes allocated, memo cache
+    hits/misses across all memoized operations, and whole-table resets
+    (a hashcons or memo table discarded after outgrowing its bound — a
+    nonzero delta means the caches thrashed).  Reads of other domains'
+    counters are unsynchronized (advisory numbers for metrics and
+    benches — surfaced as the [pset.nodes]/[pset.memo_hits]/
+    [pset.memo_misses]/[pset.resets] counters by
+    {!Rd_reach.Reachability.compute} and the bench harness). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the covering prefixes of {!to_prefixes}, comma-separated

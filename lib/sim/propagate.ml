@@ -424,8 +424,7 @@ let prefix_set_of_router t router = Rib.prefixes t.router_ribs.(router)
 
 let instance_prefix_set t (assignment : Instance.assignment) inst_id =
   let inst = assignment.instances.(inst_id) in
-  List.fold_left
-    (fun acc pid -> Prefix_set.union acc (Rib.prefixes t.proc_ribs.(pid)))
-    Prefix_set.empty inst.members
+  Prefix_set.of_prefixes
+    (List.concat_map (fun pid -> Rib.dests t.proc_ribs.(pid)) inst.members)
 
 let forwards_to t ~router a = Rib.lookup t.router_ribs.(router) a

@@ -63,6 +63,8 @@ let routes t = List.map snd (Prefix_trie.bindings t)
 
 let size t = Prefix_trie.cardinal t
 
-let prefixes t = Prefix_set.of_prefixes (List.map fst (Prefix_trie.bindings t))
+let dests t = List.map fst (Prefix_trie.bindings t)
+
+let prefixes t = Prefix_set.of_prefixes (dests t)
 
 let merge a b = Prefix_trie.fold (fun _ r acc -> add acc r) b a

@@ -78,6 +78,9 @@ val routes : t -> route list
 val size : t -> int
 (** Number of installed routes (the §6.2 route-load measure). *)
 
+val dests : t -> Prefix.t list
+(** Every installed destination prefix, in prefix order. *)
+
 val prefixes : t -> Prefix_set.t
 (** The set of all installed destination prefixes. *)
 

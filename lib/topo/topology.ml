@@ -67,12 +67,9 @@ let build routers_list =
     ifaces;
   (* Every configured address, loopbacks included, is "inside the network". *)
   let internal_addresses =
-    Array.fold_left
-      (fun acc i ->
-        match i.address with
-        | Some (a, _) -> Prefix_set.add (Prefix.host a) acc
-        | None -> acc)
-      Prefix_set.empty ifaces
+    Array.to_list ifaces
+    |> List.filter_map (fun i -> Option.map (fun (a, _) -> Prefix.host a) i.address)
+    |> Prefix_set.of_prefixes
   in
   (* Candidate external next-hops: static-route next hops and BGP neighbor
      addresses that are not any internal interface address. *)

@@ -331,6 +331,60 @@ let prop_kernel_mem_matches_reference =
       let a = Prefix.addr p in
       Prefix_set.mem a (Prefix_set.of_prefixes ps) = R.mem a (R.of_prefixes ps))
 
+(* Bulk construction.  Prefix lists drawn around a few shared bases, so
+   prefixes nest, overlap and repeat; /0 and /32 are weighted into the
+   lengths and the empty list is a frequent case. *)
+let arb_bulk_prefixes =
+  QCheck.make
+    ~print:(fun ps -> String.concat "," (List.map Prefix.to_string ps))
+    QCheck.Gen.(
+      let* bases = list_size (int_range 1 3) (map Int32.to_int int32) in
+      let prefix =
+        let* base = oneofl bases in
+        let* noise = map Int32.to_int int32 in
+        let* shared = int_bound 32 in
+        let* len = frequency [ (1, return 0); (2, return 32); (6, int_bound 32) ] in
+        (* keep the top [shared] bits of [base], randomize the rest *)
+        let low = (1 lsl (32 - shared)) - 1 in
+        let a = (base land lnot low) lor (noise land low) in
+        return (Prefix.make (Ipv4.of_int (a land 0xFFFFFFFF)) len)
+      in
+      let* ps = list_size (frequency [ (1, return 0); (5, int_bound 24) ]) prefix in
+      let* dups = if ps = [] then return [] else list_size (int_bound 4) (oneofl ps) in
+      shuffle_l (ps @ dups))
+
+let fold_of_prefixes ps =
+  List.fold_left (fun acc p -> Prefix_set.union acc (Prefix_set.of_prefix p)) Prefix_set.empty ps
+
+let prop_bulk_matches_reference =
+  QCheck.Test.make ~name:"bulk of_prefixes agrees with reference fold" ~count:500
+    arb_bulk_prefixes (fun ps ->
+      let k = Prefix_set.of_prefixes ps in
+      List.map Prefix.to_string (Prefix_set.to_prefixes k)
+      = List.map Prefix.to_string (R.to_prefixes (R.of_prefixes ps))
+      && Prefix_set.count_addresses k = R.count_addresses (R.of_prefixes ps))
+
+(* Same domain, so hash-consing must hand back the very node the
+   union fold reaches: bulk construction adds no second copy. *)
+let prop_bulk_matches_union_fold =
+  QCheck.Test.make ~name:"bulk of_prefixes == union fold (same domain)" ~count:500
+    arb_bulk_prefixes (fun ps ->
+      let folded = fold_of_prefixes ps and bulk = Prefix_set.of_prefixes ps in
+      Prefix_set.equal bulk folded && bulk == folded)
+
+let test_bulk_edge_cases () =
+  let same name ps =
+    check_bool name true (Prefix_set.of_prefixes ps == fold_of_prefixes ps)
+  in
+  same "empty list" [];
+  check_bool "empty list is empty" true (Prefix_set.is_empty (Prefix_set.of_prefixes []));
+  check_bool "/0 is full" true
+    (Prefix_set.is_full (Prefix_set.of_prefixes [ pfx "10.0.0.0/8"; Prefix.default ]));
+  same "duplicates" [ pfx "10.0.0.1/32"; pfx "10.0.0.1/32"; pfx "10.0.0.1/32" ];
+  same "nested" [ pfx "10.1.2.0/24"; pfx "10.0.0.0/8"; pfx "10.1.0.0/16" ];
+  same "siblings merge" [ pfx "10.0.0.0/25"; pfx "10.0.0.128/25" ];
+  same "hosts" (List.init 64 (fun i -> Prefix.host (Ipv4.of_int (0x0A000000 + (3 * i)))))
+
 (* Sets built in Pool worker domains come from foreign hashcons tables:
    after the join their node ids never match locally-built twins, so the
    structural fallback must carry equality/subset — including for fresh
@@ -499,7 +553,9 @@ let () =
       ( "prefix_set kernel",
         Alcotest.test_case "cross-domain pool sets" `Quick test_set_cross_domain
         :: Alcotest.test_case "kernel stats" `Quick test_kernel_stats_move
-        :: qc [ prop_kernel_matches_reference; prop_kernel_mem_matches_reference ] );
+        :: qc [ prop_kernel_matches_reference; prop_kernel_mem_matches_reference ]
+        @ Alcotest.test_case "bulk of_prefixes edge cases" `Quick test_bulk_edge_cases
+          :: qc [ prop_bulk_matches_reference; prop_bulk_matches_union_fold ] );
       ( "prefix_trie",
         Alcotest.test_case "basics" `Quick test_trie_basics
         :: Alcotest.test_case "remove/update" `Quick test_trie_remove_update

@@ -214,6 +214,21 @@ let test_fixpoint_terminates () =
   let r = Rd_reach.Reachability.compute a.graph in
   check_bool "few iterations" true (r.iterations < 30)
 
+(* Building a generated network must stay inside the kernel's cache
+   bounds: a reset would mean set construction thrashed the hashcons and
+   memo tables, evicting the sharing later stages rely on. *)
+let test_build_no_kernel_reset () =
+  let resets () = (Rd_addr.Prefix_set.stats ()).Rd_addr.Prefix_set.resets in
+  let r0 = resets () in
+  let net = Rd_gen.Archetype.generate Rd_gen.Archetype.Enterprise ~seed:5 ~n:200 ~index:1 () in
+  let a = Rd_core.Analysis.analyze ~name:"e" (Rd_gen.Builder.to_texts net) in
+  let metrics = Rd_util.Metrics.create () in
+  ignore (Rd_reach.Reachability.compute ~metrics a.graph);
+  check_int "no kernel table reset" 0 (resets () - r0);
+  Alcotest.(check (option int))
+    "pset.resets metric" (Some 0)
+    (Rd_util.Metrics.counter_value metrics "pset.resets")
+
 let test_origins_bulk_shared () =
   (* origins_bulk memoizes per graph and hands every caller the SAME
      physical array — so the fixpoints must copy before seeding, never
@@ -538,6 +553,8 @@ let () =
           Alcotest.test_case "restricted offers" `Quick test_restricted_offers;
           Alcotest.test_case "net15 end to end" `Quick test_net15_full;
           Alcotest.test_case "fixpoint terminates" `Quick test_fixpoint_terminates;
+          Alcotest.test_case "network build causes no kernel reset" `Quick
+            test_build_no_kernel_reset;
           Alcotest.test_case "origins_bulk is shared and never mutated" `Quick
             test_origins_bulk_shared;
           Alcotest.test_case "default-originate seeds routes not origins" `Quick
