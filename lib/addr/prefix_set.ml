@@ -56,11 +56,29 @@ type stats_cell = {
 let stats_registry : stats_cell list ref = ref []
 let stats_mutex = Mutex.create ()
 
+(* Every table is keyed by one packed int (see [id_bits] below), so a
+   probe hashes and compares an immediate: no tuple allocation, no
+   generic [caml_hash]/[compare].  [Hashtbl.Make] indexes buckets by the
+   hash's low bits, and most node keys share their low bits (the right
+   child is [Empty] all along a single prefix's spine), so the hash must
+   mix every input bit into the low ones: the splitmix64 finaliser, its
+   multipliers cut to OCaml's 63-bit ints. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash x =
+    let x = (x lxor (x lsr 30)) * 0x3f58476d1ce4e5b9 in
+    let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+    (x lxor (x lsr 31)) land max_int
+end)
+
 type table = {
-  nodes : (int * int, t) Hashtbl.t; (* (uid l, uid r) -> hash-consed node *)
-  memo : (int, t) Hashtbl.t; (* packed (op, id, id) -> result *)
-  memo_subset : (int, bool) Hashtbl.t;
-  memo_count : (int, int) Hashtbl.t; (* packed (id, depth) -> addresses *)
+  nodes : t Itbl.t; (* packed (uid l, uid r) -> hash-consed node *)
+  memo : t Itbl.t; (* packed (op, id, id) -> result *)
+  memo_subset : bool Itbl.t;
+  memo_count : int Itbl.t; (* packed (id, depth) -> addresses *)
   cell : stats_cell;
 }
 
@@ -71,10 +89,10 @@ let table_key : table Domain.DLS.key =
       let cell = { s_nodes = 0; s_hits = 0; s_misses = 0; s_resets = 0 } in
       Mutex.protect stats_mutex (fun () -> stats_registry := cell :: !stats_registry);
       {
-        nodes = Hashtbl.create 4096;
-        memo = Hashtbl.create 4096;
-        memo_subset = Hashtbl.create 256;
-        memo_count = Hashtbl.create 256;
+        nodes = Itbl.create 4096;
+        memo = Itbl.create 4096;
+        memo_subset = Itbl.create 256;
+        memo_count = Itbl.create 256;
         cell;
       })
 
@@ -84,8 +102,8 @@ let table () = Domain.DLS.get table_key
    counting the reset: a nonzero [resets] in {!stats} means the caches
    thrashed and later stages lost their sharing. *)
 let reset_if_full tbl h =
-  if Hashtbl.length h > cache_limit then begin
-    Hashtbl.reset h;
+  if Itbl.length h > cache_limit then begin
+    Itbl.reset h;
     tbl.cell.s_resets <- tbl.cell.s_resets + 1
   end
 
@@ -98,26 +116,11 @@ let reset_if_oversized tbl =
 let empty = Empty
 let full = Full
 
-let node l r =
-  match (l, r) with
-  | Empty, Empty -> Empty
-  | Full, Full -> Full
-  | _ ->
-    let tbl = table () in
-    let key = (uid l, uid r) in
-    (match Hashtbl.find_opt tbl.nodes key with
-     | Some n -> n
-     | None ->
-       reset_if_oversized tbl;
-       let n = Node { id = Atomic.fetch_and_add next_id 1; l; r } in
-       Hashtbl.add tbl.nodes key n;
-       tbl.cell.s_nodes <- tbl.cell.s_nodes + 1;
-       n)
-
-(* Memo keys pack (op, id, id) into one 63-bit int: 2 op bits + 2×30 id
-   bits (max key 3·2⁶⁰ + …, inside the 63-bit native int).  Ids are
-   dense (one global counter), so the packing is exact — never a
-   collision — for the first ~10⁹ nodes; beyond that the ops simply
+(* Keys pack node ids into one 63-bit int, 30 bits per id: a memo key
+   is 2 op bits + 2×30 id bits (max key 3·2⁶⁰ + …, inside the 63-bit
+   native int), a node key the two child ids.  Ids are dense (one global
+   counter), so the packing is exact — never a collision — for the
+   first ~10⁹ nodes; beyond that nodes are built unshared and the ops
    stop memoizing (correct, just slower) rather than risking a
    packed-key collision between two live nodes. *)
 
@@ -125,6 +128,29 @@ let id_bits = 30
 let id_limit = 1 lsl id_bits
 
 let pack op a b = (((op lsl id_bits) lor a) lsl id_bits) lor b
+
+let fresh_node tbl l r =
+  tbl.cell.s_nodes <- tbl.cell.s_nodes + 1;
+  Node { id = Atomic.fetch_and_add next_id 1; l; r }
+
+let node l r =
+  match (l, r) with
+  | Empty, Empty -> Empty
+  | Full, Full -> Full
+  | _ ->
+    let tbl = table () in
+    let il = uid l and ir = uid r in
+    if il >= id_limit || ir >= id_limit then fresh_node tbl l r
+    else begin
+      let key = (il lsl id_bits) lor ir in
+      match Itbl.find_opt tbl.nodes key with
+      | Some n -> n
+      | None ->
+        reset_if_oversized tbl;
+        let n = fresh_node tbl l r in
+        Itbl.add tbl.nodes key n;
+        n
+    end
 
 let op_union = 0
 let op_inter = 1
@@ -136,7 +162,7 @@ let memo_bin tbl op a b compute =
   if ia >= id_limit || ib >= id_limit then compute ()
   else begin
     let key = pack op ia ib in
-    match Hashtbl.find_opt tbl.memo key with
+    match Itbl.find_opt tbl.memo key with
     | Some r ->
       tbl.cell.s_hits <- tbl.cell.s_hits + 1;
       r
@@ -144,7 +170,7 @@ let memo_bin tbl op a b compute =
       tbl.cell.s_misses <- tbl.cell.s_misses + 1;
       let r = compute () in
       reset_if_full tbl tbl.memo;
-      Hashtbl.add tbl.memo key r;
+      Itbl.add tbl.memo key r;
       r
   end
 
@@ -250,7 +276,7 @@ let rec subset a b =
       if ia >= id_limit || ib >= id_limit then subset na.l nb.l && subset na.r nb.r
       else begin
         let key = pack 0 ia ib in
-        match Hashtbl.find_opt tbl.memo_subset key with
+        match Itbl.find_opt tbl.memo_subset key with
         | Some r ->
           tbl.cell.s_hits <- tbl.cell.s_hits + 1;
           r
@@ -258,7 +284,7 @@ let rec subset a b =
           tbl.cell.s_misses <- tbl.cell.s_misses + 1;
           let r = subset na.l nb.l && subset na.r nb.r in
           reset_if_full tbl tbl.memo_subset;
-          Hashtbl.add tbl.memo_subset key r;
+          Itbl.add tbl.memo_subset key r;
           r
       end
     end
@@ -296,7 +322,7 @@ let rec count_subtree ~depth t =
       count_subtree ~depth:(depth + 1) n.l + count_subtree ~depth:(depth + 1) n.r
     else begin
       let key = (n.id lsl 6) lor depth in
-      match Hashtbl.find_opt tbl.memo_count key with
+      match Itbl.find_opt tbl.memo_count key with
       | Some c ->
         tbl.cell.s_hits <- tbl.cell.s_hits + 1;
         c
@@ -306,7 +332,7 @@ let rec count_subtree ~depth t =
           count_subtree ~depth:(depth + 1) n.l + count_subtree ~depth:(depth + 1) n.r
         in
         reset_if_full tbl tbl.memo_count;
-        Hashtbl.add tbl.memo_count key c;
+        Itbl.add tbl.memo_count key c;
         c
     end
 

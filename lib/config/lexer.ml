@@ -41,15 +41,9 @@ let lines_of_string text =
   in
   build 1 [] raw_lines
 
-let stats text =
-  let raw_lines = split_lines text in
-  (* Do not count the phantom segment produced by a trailing newline. *)
-  let physical =
-    match List.rev raw_lines with
-    | "" :: rest -> List.length rest
-    | all -> List.length all
-  in
-  let commands =
-    List.length (List.filter (fun l -> let l = rtrim l in l <> "" && not (is_comment l)) raw_lines)
-  in
-  (physical, commands)
+(* Physical lines: one per newline, plus an unterminated last line. *)
+let physical_lines text =
+  let n = String.length text in
+  let newlines = ref 0 in
+  String.iter (fun c -> if c = '\n' then incr newlines) text;
+  if n > 0 && text.[n - 1] <> '\n' then !newlines + 1 else !newlines

@@ -15,6 +15,7 @@ type line = {
 val lines_of_string : string -> line list
 (** Logical (non-blank, non-comment) lines in order. *)
 
-val stats : string -> int * int
-(** [(total physical lines, command count)] — command count excludes blank
-    and comment lines; this is the paper's Figure 4 measure. *)
+val physical_lines : string -> int
+(** Physical line count: a trailing newline does not start another
+    line.  With the length of {!lines_of_string} (the command count) it
+    is the paper's Figure 4 measure. *)

@@ -591,9 +591,8 @@ let record_metrics metrics (ast : Ast.t) diags =
       diags;
     Hashtbl.iter (fun code n -> Rd_util.Metrics.incr metrics ~by:n ("diag." ^ code)) per_code
 
-let parse_with_diags ?file ?metrics ?cancel text =
+let parse_lines_with_diags ?file ?metrics ?cancel ~physical lines =
   let st = fresh ?file () in
-  let lines = Lexer.lines_of_string text in
   let mode = ref Top in
   (* Poll the cancel token every few hundred lines: cheap enough to be
      invisible on real configs, frequent enough that even a single
@@ -613,7 +612,6 @@ let parse_with_diags ?file ?metrics ?cancel text =
       else mode := sub_level st !mode l)
     lines;
   finish_mode st !mode;
-  let total_lines, command_count = Lexer.stats text in
   let interfaces =
     List.rev_map
       (fun (i : Ast.interface) ->
@@ -678,8 +676,8 @@ let parse_with_diags ?file ?metrics ?cancel text =
       route_maps;
       prefix_lists;
       statics = List.rev st.statics;
-      total_lines;
-      command_count;
+      total_lines = physical;
+      command_count = List.length lines;
       unknown = List.rev st.unknown;
       vty_acls = List.rev st.vty_acls;
     }
@@ -687,6 +685,10 @@ let parse_with_diags ?file ?metrics ?cancel text =
   let diags = Diag.to_list st.diag in
   record_metrics metrics ast diags;
   (ast, diags)
+
+let parse_with_diags ?file ?metrics ?cancel text =
+  parse_lines_with_diags ?file ?metrics ?cancel ~physical:(Lexer.physical_lines text)
+    (Lexer.lines_of_string text)
 
 let parse text = fst (parse_with_diags text)
 

@@ -26,6 +26,15 @@ val parse_with_diags :
     diagnostic code, batched once per file so pool workers do not
     contend. *)
 
+val parse_lines_with_diags :
+  ?file:string -> ?metrics:Rd_util.Metrics.t -> ?cancel:Rd_util.Cancel.t ->
+  physical:int -> Lexer.line list -> Ast.t * Diag.t list
+(** {!parse_with_diags} over text already split by
+    {!Lexer.lines_of_string}, for callers that walk the lines
+    themselves (the lint pass): [physical] is the text's
+    {!Lexer.physical_lines}, and the command count is the number of
+    lines. *)
+
 val parse_file : string -> Ast.t
 (** Read a file from disk and parse it.  Raises [Sys_error] on IO
     failure. *)

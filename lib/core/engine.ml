@@ -48,26 +48,31 @@ let memo t cache k f =
 
 let file_key file text = Cache.key ~stage:"parse" ~version:parse_version [ file; text ]
 
+let network_key_of_file_keys ~name file_keys =
+  Cache.key ~stage:"analysis" ~version:analysis_version (name :: List.map Cache.hex file_keys)
+
 let network_key ~name files =
-  Cache.key ~stage:"analysis" ~version:analysis_version
-    (name :: List.map (fun (f, text) -> Cache.hex (file_key f text)) files)
+  network_key_of_file_keys ~name (List.map (fun (f, text) -> file_key f text) files)
 
 type network = { name : string; key : Cache.key; analysis : Analysis.t }
 
+(* Each file's key is derived once and serves both the network key and
+   the parse store: hashing the text is the whole cost of a warm load. *)
 let load t ~name files =
-  let key = network_key ~name files in
+  let keyed = List.map (fun (f, text) -> (f, text, file_key f text)) files in
+  let key = network_key_of_file_keys ~name (List.map (fun (_, _, k) -> k) keyed) in
   let analysis =
     memo t t.analyses key (fun () ->
         let parsed =
           List.map
-            (fun (f, text) ->
-              memo t t.parses (file_key f text) (fun () ->
+            (fun (f, text, fkey) ->
+              memo t t.parses fkey (fun () ->
                   let ast, ds =
                     Rd_config.Parser.parse_with_diags ?metrics:t.metrics ?cancel:t.cancel
                       ~file:f text
                   in
                   ((f, ast), ds)))
-            files
+            keyed
         in
         Analysis.analyze_asts ?trace:t.trace ?metrics:t.metrics ?cancel:t.cancel
           ~diags:(List.concat_map snd parsed)

@@ -21,7 +21,10 @@ let undefined_code = function
 let metric_exempt_source = function "connected" | "static" -> true | _ -> false
 
 let lint_config ~file text =
-  let _ast, parse_diags = Parser.parse_with_diags ~file text in
+  let lines = Lexer.lines_of_string text in
+  let _ast, parse_diags =
+    Parser.parse_lines_with_diags ~file ~physical:(Lexer.physical_lines text) lines
+  in
   let rules = ref [] in
   let emit ?line severity ~code fmt =
     Printf.ksprintf
@@ -151,7 +154,7 @@ let lint_config ~file text =
            | "access-class" :: name :: _ -> add_ref Acl name l.lineno
            | _ -> ())
         | _ -> ())
-    (Lexer.lines_of_string text);
+    lines;
   (* Dangling references. *)
   let defs_of = function Acl -> acl_defs | Route_map -> rm_defs | Prefix_list -> pl_defs in
   let referenced : (kind * string, unit) Hashtbl.t = Hashtbl.create 16 in

@@ -34,8 +34,9 @@ type report = {
 let router_file (a : Analysis.t) r = fst a.topo.routers.(r)
 let router_cfg (a : Analysis.t) r = snd a.topo.routers.(r)
 
-let locator_line locators file f =
-  match Hashtbl.find_opt locators file with None -> None | Some loc -> f loc
+(* A finding with its anchor: where in the file's text it points.  The
+   line is looked up only for findings that survive [cap_findings]. *)
+type finding = Diag.t * (Locator.t -> int option)
 
 let witnesses s =
   let ps = Prefix_set.to_prefixes s in
@@ -175,7 +176,7 @@ let cycle_tag_cut a cycle_edges =
       | _ -> false)
     rm_edges
 
-let redistribution_loops ?metrics ~locators (a : Analysis.t) =
+let redistribution_loops ?metrics (a : Analysis.t) : finding list =
   let g = a.graph in
   let insts = IG.instances g in
   let n = Array.length insts in
@@ -322,11 +323,10 @@ let redistribution_loops ?metrics ~locators (a : Analysis.t) =
                 in
                 let r0 = IG.via_router e0.via in
                 let file = router_file a r0 in
-                let line =
-                  locator_line locators file (fun loc ->
-                      Locator.redistribute_line loc
-                        ~proto:(Ast.protocol_to_string insts.(i).Instance.protocol)
-                        ~source:(redist_source_token redist.source))
+                let anchor loc =
+                  Locator.redistribute_line loc
+                    ~proto:(Ast.protocol_to_string insts.(i).Instance.protocol)
+                    ~source:(redist_source_token redist.source)
                 in
                 let cycle_str =
                   render_path a insts cycle_edges
@@ -334,15 +334,15 @@ let redistribution_loops ?metrics ~locators (a : Analysis.t) =
                   Printf.sprintf "%s -> %s" s (inst_label insts i)
                 in
                 findings :=
-                  Diag.make ~file ?line severity
-                    ~code:"netlint-redistribution-loop"
-                    (Printf.sprintf
-                       "redistribution loop %s: %s can circulate and be \
-                        re-redistributed (redistribution on %s): %s"
-                       cycle_str (witnesses loopset)
-                       (String.concat ", "
-                          (List.map (router_file a) redist_routers))
-                       why)
+                  ( Diag.make ~file severity ~code:"netlint-redistribution-loop"
+                      (Printf.sprintf
+                         "redistribution loop %s: %s can circulate and be \
+                          re-redistributed (redistribution on %s): %s"
+                         cycle_str (witnesses loopset)
+                         (String.concat ", "
+                            (List.map (router_file a) redist_routers))
+                         why),
+                    anchor )
                   :: !findings
               end
             end
@@ -376,17 +376,47 @@ let leaks (a : Analysis.t) =
     g.edges;
   Array.iteri (fun i l -> inst_out.(i) <- List.rev l) inst_out;
   Array.iteri (fun i l -> ext_out.(i) <- List.rev l) ext_out;
+  (* A leak ends at an instance with an unfiltered eBGP out-edge, so
+     only instances that reach one can leak: mark them with one reverse
+     BFS.  Every path to a marked instance runs through marked ones
+     only, so the per-origin BFS below may skip unmarked instances
+     without changing the order in which it meets the marked ones —
+     hence neither which leaks it finds nor their witness paths. *)
+  let inst_in = Array.make n [] in
+  Array.iteri
+    (fun s outs -> List.iter (fun (d, _) -> inst_in.(d) <- s :: inst_in.(d)) outs)
+    inst_out;
+  let marked = Array.make n false in
+  let q = Queue.create () in
+  Array.iteri
+    (fun s outs ->
+      if outs <> [] then begin
+        marked.(s) <- true;
+        Queue.add s q
+      end)
+    ext_out;
+  while not (Queue.is_empty q) do
+    List.iter
+      (fun s ->
+        if not marked.(s) then begin
+          marked.(s) <- true;
+          Queue.add s q
+        end)
+      inst_in.(Queue.pop q)
+  done;
+  (* One [parent]/[visited] pair for every origin, reset through the
+     visit order, so each BFS costs its own visit and no more. *)
+  let parent = Array.make n None in
+  let visited = Array.make n false in
   let acc = ref [] in
   for i = 0 to n - 1 do
     if
-      insts.(i).Instance.protocol <> Ast.Bgp
+      marked.(i)
+      && insts.(i).Instance.protocol <> Ast.Bgp
       && not (Prefix_set.is_empty origins.(i))
     then begin
       (* BFS over unfiltered edges; shortest witness path per AS. *)
-      let parent = Array.make n None in
-      let visited = Array.make n false in
       visited.(i) <- true;
-      let q = Queue.create () in
       Queue.add i q;
       let order = ref [] in
       while not (Queue.is_empty q) do
@@ -394,13 +424,14 @@ let leaks (a : Analysis.t) =
         order := s :: !order;
         List.iter
           (fun (d, e) ->
-            if not visited.(d) then begin
+            if marked.(d) && not visited.(d) then begin
               visited.(d) <- true;
               parent.(d) <- Some (s, e);
               Queue.add d q
             end)
           inst_out.(s)
       done;
+      let order = List.rev !order in
       let seen_as = Hashtbl.create 4 in
       List.iter
         (fun s ->
@@ -433,34 +464,36 @@ let leaks (a : Analysis.t) =
                   :: !acc
               end)
             ext_out.(s))
-        (List.rev !order)
+        order;
+      List.iter
+        (fun s ->
+          visited.(s) <- false;
+          parent.(s) <- None)
+        order
     end
   done;
   List.rev !acc
 
-let leak_findings ~locators (a : Analysis.t) =
+let leak_findings (a : Analysis.t) : finding list =
   let insts = IG.instances a.graph in
   List.map
     (fun l ->
-      let file = router_file a l.leak_router in
-      let line =
-        locator_line locators file (fun loc ->
-            Locator.neighbor_line loc l.leak_peer)
-      in
-      Diag.make ~file ?line Diag.Warning ~code:"netlint-route-leak"
-        (Printf.sprintf
-           "route leak: %s originating in %s reach AS%d with no filter at \
-            any hop: %s"
-           (witnesses l.leak_prefixes)
-           (inst_label insts l.leak_origin)
-           l.leak_asn
-           (render_path a insts l.leak_path)))
+      ( Diag.make ~file:(router_file a l.leak_router) Diag.Warning
+          ~code:"netlint-route-leak"
+          (Printf.sprintf
+             "route leak: %s originating in %s reach AS%d with no filter at \
+              any hop: %s"
+             (witnesses l.leak_prefixes)
+             (inst_label insts l.leak_origin)
+             l.leak_asn
+             (render_path a insts l.leak_path)),
+        fun loc -> Locator.neighbor_line loc l.leak_peer ))
     (leaks a)
 
 (* ------------------------------------------------------------------ *)
 (* Rule family 3: peer consistency                                     *)
 
-let bgp_peer_findings ~locators (a : Analysis.t) =
+let bgp_peer_findings (a : Analysis.t) =
   let cat = a.catalog in
   let nrouters = Array.length a.topo.routers in
   let bgp_procs = Array.make nrouters [] in
@@ -491,47 +524,39 @@ let bgp_peer_findings ~locators (a : Analysis.t) =
               | None -> () (* peer outside the network: nothing to check *)
               | Some q when q = r -> ()
               | Some q ->
-                let file = router_file a r in
-                let line =
-                  locator_line locators file (fun loc ->
-                      Locator.neighbor_line loc n.peer)
+                let emit severity ~code message =
+                  findings :=
+                    ( Diag.make ~file:(router_file a r) severity ~code message,
+                      fun loc -> Locator.neighbor_line loc n.peer )
+                    :: !findings
                 in
                 let q_asns =
                   List.filter_map (fun (p : Process.t) -> p.proc_id) bgp_procs.(q)
                 in
                 if q_asns = [] then
-                  findings :=
-                    Diag.make ~file ?line Diag.Warning
-                      ~code:"netlint-peer-one-sided"
-                      (Printf.sprintf
-                         "neighbor %s: peer router %s runs no BGP process"
-                         (Ipv4.to_string n.peer) (router_file a q))
-                    :: !findings
+                  emit Diag.Warning ~code:"netlint-peer-one-sided"
+                    (Printf.sprintf
+                       "neighbor %s: peer router %s runs no BGP process"
+                       (Ipv4.to_string n.peer) (router_file a q))
                 else if not (List.mem n.remote_as q_asns) then
-                  findings :=
-                    Diag.make ~file ?line Diag.Error
-                      ~code:"netlint-peer-as-mismatch"
-                      (Printf.sprintf
-                         "neighbor %s remote-as %d, but peer router %s is AS %s"
-                         (Ipv4.to_string n.peer) n.remote_as (router_file a q)
-                         (String.concat "/" (List.map string_of_int q_asns)))
-                    :: !findings
+                  emit Diag.Error ~code:"netlint-peer-as-mismatch"
+                    (Printf.sprintf
+                       "neighbor %s remote-as %d, but peer router %s is AS %s"
+                       (Ipv4.to_string n.peer) n.remote_as (router_file a q)
+                       (String.concat "/" (List.map string_of_int q_asns)))
                 else if not (has_session_to q r) then
-                  findings :=
-                    Diag.make ~file ?line Diag.Warning
-                      ~code:"netlint-peer-one-sided"
-                      (Printf.sprintf
-                         "neighbor %s: peer router %s has no neighbor \
-                          statement back toward %s"
-                         (Ipv4.to_string n.peer) (router_file a q)
-                         (router_file a r))
-                    :: !findings)
+                  emit Diag.Warning ~code:"netlint-peer-one-sided"
+                    (Printf.sprintf
+                       "neighbor %s: peer router %s has no neighbor \
+                        statement back toward %s"
+                       (Ipv4.to_string n.peer) (router_file a q)
+                       (router_file a r)))
           p.ast.neighbors)
       bgp_procs.(r)
   done;
   List.rev !findings
 
-let ospf_area_findings ~locators (a : Analysis.t) =
+let ospf_area_findings (a : Analysis.t) =
   let cat = a.catalog in
   let findings = ref [] in
   List.iter
@@ -561,28 +586,25 @@ let ospf_area_findings ~locators (a : Analysis.t) =
         let distinct = List.sort_uniq compare (List.map snd areas) in
         if List.length distinct >= 2 then begin
           let (ifc0, _) = List.hd areas in
-          let file = router_file a ifc0.router in
-          let line =
-            locator_line locators file (fun loc ->
-                Locator.interface_address_line loc ifc0.name)
-          in
           findings :=
-            Diag.make ~file ?line Diag.Error ~code:"netlint-ospf-area-mismatch"
-              (Printf.sprintf "ospf area mismatch on %s: %s"
-                 (Prefix.to_string l.subnet_of_link)
-                 (String.concat ", "
-                    (List.map
-                       (fun ((ifc : Rd_topo.Topology.iface), area) ->
-                         Printf.sprintf "%s:%s area %d"
-                           (router_file a ifc.router) ifc.name area)
-                       areas)))
+            ( Diag.make ~file:(router_file a ifc0.router) Diag.Error
+                ~code:"netlint-ospf-area-mismatch"
+                (Printf.sprintf "ospf area mismatch on %s: %s"
+                   (Prefix.to_string l.subnet_of_link)
+                   (String.concat ", "
+                      (List.map
+                         (fun ((ifc : Rd_topo.Topology.iface), area) ->
+                           Printf.sprintf "%s:%s area %d"
+                             (router_file a ifc.router) ifc.name area)
+                         areas))),
+              fun loc -> Locator.interface_address_line loc ifc0.name )
             :: !findings
         end
       end)
     a.topo.links;
   List.rev !findings
 
-let mask_findings ~locators (a : Analysis.t) =
+let mask_findings (a : Analysis.t) =
   let entries =
     Array.to_list a.topo.ifaces
     |> List.filter_map (fun (ifc : Rd_topo.Topology.iface) ->
@@ -617,16 +639,13 @@ let mask_findings ~locators (a : Analysis.t) =
             let key = ((f', len'), (first, len)) in
             if not (Hashtbl.mem reported key) then begin
               Hashtbl.add reported key ();
-              let file = router_file a ifc'.router in
-              let line =
-                locator_line locators file (fun loc ->
-                    Locator.interface_address_line loc ifc'.name)
-              in
               findings :=
-                Diag.make ~file ?line Diag.Warning ~code:"netlint-mask-mismatch"
-                  (Printf.sprintf
-                     "subnet mask mismatch on a shared medium: %s overlaps %s"
-                     (iface_str ifc') (iface_str ifc))
+                ( Diag.make ~file:(router_file a ifc'.router) Diag.Warning
+                    ~code:"netlint-mask-mismatch"
+                    (Printf.sprintf
+                       "subnet mask mismatch on a shared medium: %s overlaps %s"
+                       (iface_str ifc') (iface_str ifc)),
+                  fun loc -> Locator.interface_address_line loc ifc'.name )
                 :: !findings
             end
           end)
@@ -640,10 +659,8 @@ let mask_findings ~locators (a : Analysis.t) =
     entries;
   List.rev !findings
 
-let peer_consistency ~locators a =
-  bgp_peer_findings ~locators a
-  @ ospf_area_findings ~locators a
-  @ mask_findings ~locators a
+let peer_consistency a : finding list =
+  bgp_peer_findings a @ ospf_area_findings a @ mask_findings a
 
 (* ------------------------------------------------------------------ *)
 (* Rule family 4: shadowed filter rules                                *)
@@ -834,7 +851,7 @@ let shadowed_route_map_entries (cfg : Ast.t) (rm : Ast.route_map) =
     rm.entries;
   List.rev !hits
 
-let shadowed_rules ~locators (a : Analysis.t) =
+let shadowed_rules (a : Analysis.t) : finding list =
   let findings = ref [] in
   List.iter
     (fun (file, (cfg : Ast.t)) ->
@@ -842,17 +859,13 @@ let shadowed_rules ~locators (a : Analysis.t) =
         (fun (acl : Ast.acl) ->
           List.iter
             (fun idx ->
-              let line =
-                locator_line locators file (fun loc ->
-                    Locator.acl_clause_line loc acl.acl_name idx)
-              in
               findings :=
-                Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-acl-clause"
-                  (Printf.sprintf
-                     "access-list %s clause %d is shadowed by earlier clauses \
-                      and can never match"
-                     acl.acl_name (idx + 1))
+                ( Diag.make ~file Diag.Warning ~code:"netlint-shadowed-acl-clause"
+                    (Printf.sprintf
+                       "access-list %s clause %d is shadowed by earlier clauses \
+                        and can never match"
+                       acl.acl_name (idx + 1)),
+                  fun loc -> Locator.acl_clause_line loc acl.acl_name idx )
                 :: !findings)
             (shadowed_acl_clauses acl))
         cfg.acls;
@@ -861,22 +874,20 @@ let shadowed_rules ~locators (a : Analysis.t) =
           List.iter
             (fun (idx, kind) ->
               let e = List.nth pl.pl_entries idx in
-              let line =
-                locator_line locators file (fun loc ->
-                    Locator.prefix_list_line loc pl.pl_name
-                      ~seq:(Some e.Ast.pl_seq) ~index:idx)
-              in
               let reason =
                 match kind with
                 | `Shadowed -> "is shadowed by earlier entries"
                 | `Unsatisfiable -> "has an unsatisfiable ge/le range"
               in
               findings :=
-                Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-prefix-list-entry"
-                  (Printf.sprintf
-                     "prefix-list %s seq %d %s and can never match" pl.pl_name
-                     e.Ast.pl_seq reason)
+                ( Diag.make ~file Diag.Warning
+                    ~code:"netlint-shadowed-prefix-list-entry"
+                    (Printf.sprintf
+                       "prefix-list %s seq %d %s and can never match" pl.pl_name
+                       e.Ast.pl_seq reason),
+                  fun loc ->
+                    Locator.prefix_list_line loc pl.pl_name
+                      ~seq:(Some e.Ast.pl_seq) ~index:idx )
                 :: !findings)
             (shadowed_prefix_list_entries pl))
         cfg.prefix_lists;
@@ -884,18 +895,16 @@ let shadowed_rules ~locators (a : Analysis.t) =
         (fun (rm : Ast.route_map) ->
           List.iter
             (fun (idx, (en : Ast.route_map_entry)) ->
-              let line =
-                locator_line locators file (fun loc ->
-                    Locator.route_map_line loc rm.rm_name ~seq:(Some en.seq)
-                      ~index:idx)
-              in
               findings :=
-                Diag.make ~file ?line Diag.Warning
-                  ~code:"netlint-shadowed-route-map-entry"
-                  (Printf.sprintf
-                     "route-map %s entry %d is shadowed by earlier entries \
-                      and can never match"
-                     rm.rm_name en.seq)
+                ( Diag.make ~file Diag.Warning
+                    ~code:"netlint-shadowed-route-map-entry"
+                    (Printf.sprintf
+                       "route-map %s entry %d is shadowed by earlier entries \
+                        and can never match"
+                       rm.rm_name en.seq),
+                  fun loc ->
+                    Locator.route_map_line loc rm.rm_name ~seq:(Some en.seq)
+                      ~index:idx )
                 :: !findings)
             (shadowed_route_map_entries cfg rm))
         cfg.route_maps)
@@ -905,11 +914,17 @@ let shadowed_rules ~locators (a : Analysis.t) =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let cap_findings ~rule diags =
-  let n = List.length diags in
-  if n <= finding_cap then diags
+(* Keep the first [finding_cap] findings and anchor only those: [line]
+   finds a kept finding's line in its file's text. *)
+let cap_findings ~line ~rule (fs : finding list) =
+  let n = List.length fs in
+  let shown =
+    List.filteri (fun i _ -> i < finding_cap) fs
+    |> List.map (fun ((d : Diag.t), anchor) -> { d with line = line d.file anchor })
+  in
+  if n <= finding_cap then shown
   else
-    List.filteri (fun i _ -> i < finding_cap) diags
+    shown
     @ [
         Diag.make Diag.Info ~code:"netlint-truncated"
           (Printf.sprintf "%s: showing %d of %d findings" rule finding_cap n);
@@ -922,12 +937,26 @@ let run_analysis ?trace ?metrics ?cancel ?(rules = all_rules) ?files
       if not (List.mem r all_rules) then
         invalid_arg (Printf.sprintf "Netlint.run_analysis: unknown rule %S" r))
     rules;
+  (* Index a file's text the first time a kept finding in it asks for a
+     line: most files never carry one.  Every finding names a file of
+     [a.configs], so texts of other files are never indexed. *)
+  let texts = Hashtbl.create 64 in
+  Option.iter (List.iter (fun (name, text) -> Hashtbl.replace texts name text)) files;
   let locators = Hashtbl.create 16 in
-  Option.iter
-    (List.iter (fun (name, text) ->
-         if List.mem_assoc name a.configs then
-           Hashtbl.replace locators name (Locator.of_text text)))
-    files;
+  let line file anchor =
+    match file with
+    | None -> None
+    | Some file -> (
+      match Hashtbl.find_opt locators file with
+      | Some loc -> anchor loc
+      | None -> (
+        match Hashtbl.find_opt texts file with
+        | None -> None
+        | Some text ->
+          let loc = Locator.of_text text in
+          Hashtbl.add locators file loc;
+          anchor loc))
+  in
   Metrics.incr metrics "netlint.networks";
   let findings =
     List.concat_map
@@ -940,14 +969,14 @@ let run_analysis ?trace ?metrics ?cancel ?(rules = all_rules) ?files
           (fun () ->
             let fs =
               match rule with
-              | "redistribution-loop" -> redistribution_loops ?metrics ~locators a
-              | "route-leak" -> leak_findings ~locators a
-              | "peer-consistency" -> peer_consistency ~locators a
-              | "shadowed-rules" -> shadowed_rules ~locators a
+              | "redistribution-loop" -> redistribution_loops ?metrics a
+              | "route-leak" -> leak_findings a
+              | "peer-consistency" -> peer_consistency a
+              | "shadowed-rules" -> shadowed_rules a
               | _ -> assert false
             in
             Metrics.incr ~by:(List.length fs) metrics ("netlint." ^ rule);
-            cap_findings ~rule fs))
+            cap_findings ~line ~rule fs))
       rules
   in
   let e, w, _ = Diag.counts findings in

@@ -96,7 +96,8 @@ val run_analysis :
 (** Lint an analyzed network.  [rules] selects rule families (default
     {!all_rules}; unknown names raise [Invalid_argument]).  [files]
     supplies the raw configuration text so findings carry line numbers
-    (omitted: findings carry file names only).  Each family runs in a
+    (omitted: findings carry file names only); a file's text is indexed
+    the first time a finding kept under the cap needs a line from it.  Each family runs in a
     [netlint.<rule>] trace span and accumulates [netlint.*] metrics;
     [cancel] is polled between families.  Findings per family are
     capped at 20 per network with an explicit [netlint-truncated]

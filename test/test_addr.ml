@@ -433,6 +433,20 @@ let test_kernel_stats_move () =
   ignore (Prefix_set.union a b);
   check_bool "repeat op hits memo" true ((Prefix_set.stats ()).Prefix_set.memo_hits > h0)
 
+(* Hash-consing: within one domain a shape is built once, so rebuilding
+   it — by bulk construction or by algebra — hands back the same node
+   and creates none. *)
+let test_kernel_rebuild_shares () =
+  let ps = [ "10.0.0.0/8"; "192.168.3.0/24"; "172.16.9.128/25"; "203.0.113.7/32" ] in
+  let build () =
+    Prefix_set.diff (set ps) (Prefix_set.union (set [ "10.1.0.0/16" ]) (set [ "10.9.9.0/24" ]))
+  in
+  let first = build () in
+  let n0 = (Prefix_set.stats ()).Prefix_set.nodes in
+  let again = build () in
+  check_int "no new nodes" 0 ((Prefix_set.stats ()).Prefix_set.nodes - n0);
+  check_bool "same node" true (first == again)
+
 (* ------------------------------------------------------ Prefix_trie --- *)
 
 let test_trie_basics () =
@@ -553,6 +567,8 @@ let () =
       ( "prefix_set kernel",
         Alcotest.test_case "cross-domain pool sets" `Quick test_set_cross_domain
         :: Alcotest.test_case "kernel stats" `Quick test_kernel_stats_move
+        :: Alcotest.test_case "rebuilding a set adds no nodes" `Quick
+             test_kernel_rebuild_shares
         :: qc [ prop_kernel_matches_reference; prop_kernel_mem_matches_reference ]
         @ Alcotest.test_case "bulk of_prefixes edge cases" `Quick test_bulk_edge_cases
           :: qc [ prop_bulk_matches_reference; prop_bulk_matches_union_fold ] );

@@ -267,6 +267,27 @@ let test_study_small_networks () =
         (errors_of report))
     specs
 
+(* Regression: on net7 at seed 1094197837, removing the first router
+   takes away the BGP instance that [Reachability.can_reach] consulted
+   for some hosts, whose other originating (RIP) instance already
+   reached the destinations.  Judged by the first originating instance
+   alone, 5 pairs "became reachable"; judged by any, none does. *)
+let test_remove_router_any_origin () =
+  let spec =
+    List.find
+      (fun (s : Rd_study.Population.spec) -> s.net_id = 7)
+      (Rd_study.Population.specs ~master_seed:1094197837)
+  in
+  let a =
+    Rd_core.Analysis.analyze ~name:spec.label (Rd_study.Population.generate_one spec)
+  in
+  let r = Rd_check.Crosscheck.run_analysis ~invariants:[ "remove-router-monotone" ] a in
+  check_sl "checked" [ "remove-router-monotone" ] r.checked;
+  List.iter
+    (fun (v : Rd_check.Crosscheck.violation) ->
+      Alcotest.failf "%s: %s [%s] %s" spec.label v.invariant v.subject v.detail)
+    r.violations
+
 let () =
   Alcotest.run "rd_check"
     [
@@ -277,6 +298,8 @@ let () =
           Alcotest.test_case "render and json" `Quick test_render_and_json;
           Alcotest.test_case "report json round trip" `Quick test_report_json_roundtrip;
           Alcotest.test_case "cancellation fails fast" `Quick test_crosscheck_cancelled;
+          Alcotest.test_case "remove-router judges every originating instance" `Quick
+            test_remove_router_any_origin;
         ] );
       ( "shrinker",
         [

@@ -59,11 +59,11 @@ let test_lexer_lines () =
   check_int "lineno" 5 (List.nth lines 2).lineno
 
 let test_lexer_stats () =
-  let total, commands = Lexer.stats "a\n!\n\nb\nc\n" in
-  check_int "physical" 5 total;
-  check_int "commands" 3 commands;
-  let total2, _ = Lexer.stats "a\nb" in
-  check_int "no trailing newline" 2 total2
+  let c = Parser.parse "a\n!\n\nb\nc\n" in
+  check_int "physical" 5 c.total_lines;
+  check_int "commands" 3 c.command_count;
+  check_int "no trailing newline" 2 (Parser.parse "a\nb").total_lines;
+  check_int "empty text" 0 (Parser.parse "").total_lines
 
 let test_lexer_tabs_and_cr () =
   let lines = Lexer.lines_of_string "a\tb\r\n" in

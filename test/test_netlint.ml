@@ -159,6 +159,118 @@ let test_leak_filter_suppresses () =
   let report = run [ ("r1.cfg", leak_r1); ("r2.cfg", r2) ] in
   assert_none ~code:"netlint-route-leak" report
 
+(* The all-sources route-leak search: one full BFS over unfiltered
+   edges from every interior instance with a non-empty origin set.  The
+   reference semantics for {!Rd_core.Netlint.leaks}, which prunes to the
+   instances that can reach an unfiltered eBGP session. *)
+let leaks_ref (a : Rd_core.Analysis.t) =
+  let module IG = Rd_routing.Instance_graph in
+  let g = a.graph in
+  let insts = IG.instances g in
+  let n = Array.length insts in
+  let origins = Rd_reach.Reachability.origins_bulk g in
+  let inst_out = Array.make n [] and ext_out = Array.make n [] in
+  List.iter
+    (fun (e : IG.edge) ->
+      if Rd_policy.Route_filter.is_unrestricted e.filter then
+        match (e.src, e.dst, e.via) with
+        | IG.Inst s, IG.Inst d, _ when s <> d -> inst_out.(s) <- inst_out.(s) @ [ (d, e) ]
+        | IG.Inst s, IG.External x, IG.Ebgp_session _ -> ext_out.(s) <- ext_out.(s) @ [ (x, e) ]
+        | _ -> ())
+    g.edges;
+  List.concat
+    (List.init n (fun i ->
+         if
+           insts.(i).Rd_routing.Instance.protocol = Ast.Bgp
+           || Prefix_set.is_empty origins.(i)
+         then []
+         else begin
+           let parent = Array.make n None and visited = Array.make n false in
+           visited.(i) <- true;
+           let q = Queue.create () in
+           Queue.add i q;
+           let order = ref [] in
+           while not (Queue.is_empty q) do
+             let s = Queue.pop q in
+             order := s :: !order;
+             List.iter
+               (fun (d, e) ->
+                 if not visited.(d) then begin
+                   visited.(d) <- true;
+                   parent.(d) <- Some (s, e);
+                   Queue.add d q
+                 end)
+               inst_out.(s)
+           done;
+           let rec walk v tail =
+             match parent.(v) with Some (s, e) -> walk s (e :: tail) | None -> tail
+           in
+           let seen = Hashtbl.create 4 in
+           List.concat_map
+             (fun s ->
+               List.filter_map
+                 (fun (x, (e : IG.edge)) ->
+                   if Hashtbl.mem seen x then None
+                   else begin
+                     Hashtbl.add seen x ();
+                     Some (i, x, walk s [] @ [ e ])
+                   end)
+                 ext_out.(s))
+             (List.rev !order)
+         end))
+
+let check_leaks_match_ref name a =
+  let got = Rd_core.Netlint.leaks a and want = leaks_ref a in
+  check_int (name ^ ": leak count") (List.length want) (List.length got);
+  List.iter2
+    (fun (l : Rd_core.Netlint.leak) (i, x, path) ->
+      check_int (name ^ ": origin") i l.leak_origin;
+      check_int (name ^ ": asn") x l.leak_asn;
+      check_bool (name ^ ": same witness path") true
+        (List.length path = List.length l.leak_path && List.for_all2 ( == ) path l.leak_path))
+    got want
+
+let test_leaks_match_reference_flavors () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun seed ->
+          let name = Printf.sprintf "%s/%d" (Rd_gen.Archetype.to_string arch) seed in
+          let net = Rd_gen.Archetype.generate arch ~seed ~n:14 ~index:2 () in
+          check_leaks_match_ref name
+            (Rd_core.Analysis.analyze ~name (Rd_gen.Builder.to_texts net)))
+        [ 3; 17 ])
+    Rd_gen.Archetype.
+      [ Backbone; Enterprise; Compartment; Restricted; Tier2; Hub_spoke; Igp_only ]
+
+(* Forty routers, each its own OSPF instance on an unshared subnet; every
+   fifth also redistributes that instance into BGP toward an external
+   peer.  Most instances reach no eBGP session, so the pruned search
+   skips them, and the leaking ones must come out as the reference has
+   them. *)
+let test_leaks_match_reference_isolated () =
+  let router k =
+    let base =
+      Printf.sprintf
+        "hostname r%d\ninterface Ethernet0\n ip address 10.%d.0.1 255.255.255.0\n\
+         router ospf 1\n network 10.%d.0.0 0.0.0.255 area 0\n"
+        k k k
+    in
+    let bgp =
+      if k mod 5 <> 0 then ""
+      else
+        Printf.sprintf
+          "interface Serial0\n ip address 7.0.%d.1 255.255.255.0\nrouter bgp %d\n\
+          \ neighbor 7.0.%d.2 remote-as 65100\n redistribute ospf 1\n"
+          k (64600 + k) k
+    in
+    (Printf.sprintf "r%d.cfg" k, base ^ bgp)
+  in
+  let a = Rd_core.Analysis.analyze ~name:"isolated" (List.init 40 router) in
+  check_bool "many instances" true (Rd_core.Analysis.instance_count a >= 40);
+  check_int "one leak per redistributing router" 8 (List.length (leaks_ref a));
+  check_leaks_match_ref "isolated" a
+
 (* -------------------------------------------------- peer consistency --- *)
 
 let test_peer_as_mismatch () =
@@ -390,6 +502,10 @@ let () =
           Alcotest.test_case "unfiltered path to eBGP" `Quick test_route_leak;
           Alcotest.test_case "structured leaks" `Quick test_leaks_structured;
           Alcotest.test_case "filter suppresses" `Quick test_leak_filter_suppresses;
+          Alcotest.test_case "pruned search = all-sources BFS (flavors)" `Quick
+            test_leaks_match_reference_flavors;
+          Alcotest.test_case "pruned search = all-sources BFS (isolated instances)" `Quick
+            test_leaks_match_reference_isolated;
         ] );
       ( "peer-consistency",
         [
