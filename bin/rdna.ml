@@ -49,73 +49,20 @@ let load_dir dir =
 
 let analyze_dir dir = Rd_core.Analysis.analyze ~name:(Filename.basename dir) (load_dir dir)
 
-(* --- deadlines, cancellation, checkpoint plumbing ----------------------- *)
-
-(* Every long-running entry point builds one root token: [--deadline]
-   arms it with an absolute expiry, SIGINT/SIGTERM trip it by hand.
-   Work stops cooperatively at the next poll point; the command then
-   renders whatever completed (partial tables included), flushes its
-   trace/metrics/checkpoint sinks, and exits through
-   [exit_interrupted]. *)
-let root_token ?deadline () =
-  let root = Rd_util.Cancel.create ?deadline () in
-  let handle name = Sys.Signal_handle (fun _ -> Rd_util.Cancel.cancel ~reason:name root) in
-  (try Sys.set_signal Sys.sigint (handle "SIGINT") with Invalid_argument _ | Sys_error _ -> ());
-  (try Sys.set_signal Sys.sigterm (handle "SIGTERM") with Invalid_argument _ | Sys_error _ -> ());
-  root
-
-(* Interrupted by signal: exit 130 after the partial output is out.  A
-   tripped [--deadline] is not a signal — the run degrades per network
-   and exits 1 through the failures path instead. *)
-let exit_interrupted root =
-  match Rd_util.Cancel.status root with
-  | Some (Rd_util.Cancel.Stopped _) -> exit 130
-  | _ -> ()
-
-let open_checkpoint ?metrics ~resume dir_opt =
-  match dir_opt with
-  | None ->
-    if resume then die ~code:"usage" "--resume requires --checkpoint DIR";
-    None
-  | Some d -> Some (Rd_study.Checkpoint.open_dir ?metrics d)
-
-let checkpoint_stats = function
-  | None -> ()
-  | Some ck -> Printf.eprintf "%s\n" (Rd_study.Checkpoint.render_stats ck)
-
-let deadline_arg =
-  Cmdliner.Arg.(value & opt (some float) None
-       & info [ "deadline" ] ~docv:"SEC"
-           ~doc:"Whole-run budget: after $(docv) seconds every remaining network degrades \
-                 to a Timed_out failure row at its next poll point (exit 1), instead of \
-                 running to completion.")
-
-let task_timeout_arg =
-  Cmdliner.Arg.(value & opt (some float) None
-       & info [ "task-timeout" ] ~docv:"SEC"
-           ~doc:"Per-network budget, clocked from each network's start: one slow network \
-                 degrades alone while the rest of the sweep completes.")
-
-let checkpoint_arg =
-  Cmdliner.Arg.(value & opt (some string) None
-       & info [ "checkpoint" ] ~docv:"DIR"
-           ~doc:"Durably persist each completed network's result to the content-addressed \
-                 store in $(docv) as it finishes (atomic write-then-rename; corrupt entries \
-                 degrade to misses).")
-
-let resume_arg =
-  Cmdliner.Arg.(value & flag
-       & info [ "resume" ]
-           ~doc:"Probe the $(b,--checkpoint) store before building each network and replay \
-                 hits verbatim — an interrupted sweep restarted with $(b,--resume) produces \
-                 a byte-identical report, skipping the finished networks (the stderr store \
-                 stats line shows the hits).")
-
 (* A plain string, not cmdliner's [dir] converter: the latter rejects a
    missing directory with its own usage-style message and exit 124,
    where every entry point must answer with a coded one-liner, exit 1. *)
 let dir_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Directory of configuration files.")
+
+(* Flags several commands share; the help text is the caller's. *)
+let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let jobs_arg ~doc =
+  Arg.(value & opt int (Rd_util.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let seed_arg ?(default = 2004) ~doc () =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
 
 (* --- parse -------------------------------------------------------------- *)
 
@@ -163,18 +110,15 @@ let lint_cmd =
     end;
     if Rd_config.Diag.has_errors diags then exit 1
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as a JSON array.") in
-  let jobs_arg =
-    Arg.(value & opt int (Rd_util.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for parallel linting.")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Static checks on configuration files: parse diagnostics plus cross-reference and \
              consistency rules (dangling/unused/duplicate ACLs and route-maps, BGP neighbors \
              without remote-as, OSPF redistribution without metric, overlapping interface \
              addresses).  Exits non-zero if any error-severity finding is reported.")
-    Term.(const run $ dir_arg $ json_arg $ jobs_arg)
+    Term.(const run $ dir_arg
+          $ json_arg ~doc:"Emit diagnostics as a JSON array."
+          $ jobs_arg ~doc:"Worker domains for parallel linting.")
 
 (* --- anonymize ---------------------------------------------------------- *)
 
@@ -340,14 +284,10 @@ let audit_cmd =
       Printf.printf "%d findings\n" (List.length findings)
     end
   in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the findings as a JSON array of diagnostics (stable audit-* codes).")
-  in
   Cmd.v
     (Cmd.info "audit" ~doc:"Vulnerability/anomaly audit of a routing design (paper §8.1).")
-    Term.(const run $ dir_arg $ json_arg)
+    Term.(const run $ dir_arg
+          $ json_arg ~doc:"Emit the findings as a JSON array of diagnostics (stable audit-* codes).")
 
 (* --- inventory ------------------------------------------------------------ *)
 
@@ -368,6 +308,189 @@ let inventory_cmd =
   Cmd.v
     (Cmd.info "inventory" ~doc:"Equipment/addressing inventory, or a snapshot diff (paper §8.1).")
     Term.(const run $ dir_arg $ against_arg)
+
+
+(* --- the sweep front end -------------------------------------------------- *)
+
+(* whatif, crosscheck, netlint and study are sweeps.  Each composes its
+   flags from the terms below, so every flag, every usage error and every
+   step of the run plumbing is written once. *)
+
+(* The study networks a sweep covers: the master seed, and the net ids
+   of [--only] ([None] = all 31). *)
+type population = { seed : int; only : int list option }
+
+let population ~seed_doc ~only_doc =
+  let only = Arg.(value & opt (list int) [] & info [ "only" ] ~docv:"IDS" ~doc:only_doc) in
+  Term.(const (fun seed only -> { seed; only = (if only = [] then None else Some only) })
+        $ seed_arg ~doc:seed_doc () $ only)
+
+type target = Dir of string | Study of population
+
+(* One directory of configurations, or [--study]: never both, never
+   neither. *)
+let target ~study_doc =
+  let dir =
+    Arg.(value & pos 0 (some string) None
+         & info [] ~docv:"DIR" ~doc:"Directory of configuration files (omit with $(b,--study)).")
+  in
+  let study = Arg.(value & flag & info [ "study" ] ~doc:study_doc) in
+  let resolve dir study pop =
+    match (dir, study) with
+    | Some _, true -> die ~code:"usage" "give either DIR or --study, not both"
+    | None, false -> die ~code:"usage" "give a DIR of configurations or --study"
+    | Some d, false -> Dir d
+    | None, true -> Study pop
+  in
+  Term.(const resolve $ dir $ study
+        $ population ~seed_doc:"Master seed (with --study)."
+            ~only_doc:"Comma-separated net ids (with --study).")
+
+type budget = { deadline : float option; task_timeout : float option }
+
+let budget =
+  let deadline =
+    Arg.(value & opt (some float) None
+         & info [ "deadline" ] ~docv:"SEC"
+             ~doc:"Whole-run budget: after $(docv) seconds every remaining network degrades \
+                   to a Timed_out failure row at its next poll point (exit 1), instead of \
+                   running to completion.")
+  in
+  let task_timeout =
+    Arg.(value & opt (some float) None
+         & info [ "task-timeout" ] ~docv:"SEC"
+             ~doc:"Per-network budget, clocked from each network's start: one slow network \
+                   degrades alone while the rest of the sweep completes.")
+  in
+  Term.(const (fun deadline task_timeout -> { deadline; task_timeout }) $ deadline $ task_timeout)
+
+(* The run's root token, and the token one directory's work polls.
+   [--deadline] arms the root with an absolute expiry, SIGINT/SIGTERM
+   trip it by hand; [--task-timeout] derives the child.  Study sweeps
+   pass the root and [task_timeout] to [Rd_study] instead, which
+   derives one child per network.  Work stops cooperatively at the next
+   poll point; the command then renders whatever completed and ends in
+   [conclude]. *)
+let tokens b =
+  let root = Rd_util.Cancel.create ?deadline:b.deadline () in
+  let handle name = Sys.Signal_handle (fun _ -> Rd_util.Cancel.cancel ~reason:name root) in
+  (try Sys.set_signal Sys.sigint (handle "SIGINT") with Invalid_argument _ | Sys_error _ -> ());
+  (try Sys.set_signal Sys.sigterm (handle "SIGTERM") with Invalid_argument _ | Sys_error _ -> ());
+  (root, match b.task_timeout with None -> root | Some dl -> Rd_util.Cancel.child ~deadline:dl root)
+
+type checkpoint = { dir : string option; resume : bool }
+
+let checkpoint =
+  let dir =
+    Arg.(value & opt (some string) None
+         & info [ "checkpoint" ] ~docv:"DIR"
+             ~doc:"Durably persist each completed network's result to the content-addressed \
+                   store in $(docv) as it finishes (atomic write-then-rename; corrupt entries \
+                   degrade to misses).")
+  in
+  let resume =
+    Arg.(value & flag
+         & info [ "resume" ]
+             ~doc:"Probe the $(b,--checkpoint) store before building each network and replay \
+                   hits verbatim — an interrupted sweep restarted with $(b,--resume) produces \
+                   a byte-identical report, skipping the finished networks (the stderr store \
+                   stats line shows the hits).")
+  in
+  Term.(const (fun dir resume -> { dir; resume }) $ dir $ resume)
+
+(* Whether any flag only a supervised study sweep honours was given. *)
+let supervised b ck = b.deadline <> None || b.task_timeout <> None || ck.dir <> None || ck.resume
+
+let open_checkpoint ?metrics ck = function
+  | Dir _ ->
+    if ck.dir <> None || ck.resume then
+      die ~code:"usage" "--checkpoint/--resume apply to --study sweeps";
+    None
+  | Study _ -> (
+    match ck.dir with
+    | None ->
+      if ck.resume then die ~code:"usage" "--resume requires --checkpoint DIR";
+      None
+    | Some d -> Some (Rd_study.Checkpoint.open_dir ?metrics d))
+
+(* [--inject-faults SPEC], falling back to [RDNA_FAULTS]: the spec as
+   given on the command line, and the parsed plan. *)
+let faults ~doc =
+  let parse spec =
+    let plan =
+      match spec with
+      | Some s -> (
+        match Rd_util.Fault.of_spec s with
+        | Ok f -> Some f
+        | Error msg -> die ~code:"bad-fault-spec" "--inject-faults: %s" msg)
+      | None -> (
+        match Rd_util.Fault.from_env () with
+        | Ok f -> f
+        | Error msg -> die ~code:"bad-fault-spec" "RDNA_FAULTS: %s" msg)
+    in
+    (spec, plan)
+  in
+  Term.(const parse
+        $ Arg.(value & opt (some string) None & info [ "inject-faults" ] ~docv:"SPEC" ~doc))
+
+(* Tracing and metrics are purely observational: a sweep's report is
+   byte-identical with or without them.  [finish] writes the trace file
+   and prints (or writes) the metrics snapshot. *)
+type observe = {
+  trace : Rd_util.Trace.t option;
+  metrics : Rd_util.Metrics.t option;
+  timing : bool;
+  finish : unit -> unit;
+}
+
+let observe ?(timing = Term.const false) ?(metrics_json = Term.const None) ~trace_doc
+    ~metrics_doc () =
+  let trace_file =
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:trace_doc)
+  in
+  let metrics_flag = Arg.(value & flag & info [ "metrics" ] ~doc:metrics_doc) in
+  let make timing trace_file metrics_flag metrics_json =
+    let trace = if timing || trace_file <> None then Some (Rd_util.Trace.create ()) else None in
+    let metrics =
+      if metrics_flag || metrics_json <> None then Some (Rd_util.Metrics.create ()) else None
+    in
+    let finish () =
+      (match (trace, trace_file) with
+       | Some t, Some path ->
+         Rd_util.Trace.to_file t path;
+         Printf.eprintf "trace written to %s (%d spans)\n" path
+           (List.length (Rd_util.Trace.spans t))
+       | _ -> ());
+      match metrics with
+      | None -> ()
+      | Some m ->
+        if metrics_flag then begin
+          print_endline "--- metrics ---";
+          print_string (Rd_util.Metrics.render m)
+        end;
+        Option.iter
+          (fun path ->
+            Rd_util.Json.to_file path (Rd_util.Metrics.to_json m);
+            Printf.eprintf "metrics written to %s\n" path)
+          metrics_json
+    in
+    { trace; metrics; timing; finish }
+  in
+  Term.(const make $ timing $ trace_file $ metrics_flag $ metrics_json)
+
+let print_failures ~total failures =
+  if failures <> [] then print_string (Rd_study.Population.render_failures ~total failures)
+
+(* The end of every sweep: the checkpoint store stats on stderr, then
+   exit 130 if a signal stopped the run, else 1 if [failed].  A tripped
+   [--deadline] is not a signal: it degrades per network into failure
+   rows instead. *)
+let conclude ?root ?checkpoint failed =
+  Option.iter (fun ck -> prerr_endline (Rd_study.Checkpoint.render_stats ck)) checkpoint;
+  (match Option.bind root Rd_util.Cancel.status with
+   | Some (Rd_util.Cancel.Stopped _) -> exit 130
+   | _ -> ());
+  if failed then exit 1
 
 (* --- whatif ------------------------------------------------------------- *)
 
@@ -391,6 +514,9 @@ let whatif_cmd =
         ("seconds", J.Float o.seconds);
       ]
   in
+  let network_fields name outcomes =
+    [ ("network", J.String name); ("scenarios", J.List (List.map outcome_json outcomes)) ]
+  in
   let cache_json engine =
     J.Obj
       (List.map
@@ -405,45 +531,8 @@ let whatif_cmd =
                ] ))
          (Rd_core.Engine.stats engine))
   in
-  let outcome_row network (o : Rd_core.Engine.outcome) =
-    [
-      network;
-      o.scenario.label;
-      Printf.sprintf "%d->%d" o.diff.instances_before o.diff.instances_after;
-      string_of_int (List.length o.diff.split_instances);
-      string_of_int (List.length o.diff.lost_reachability);
-      string_of_int (List.length o.touched);
-      Printf.sprintf "%.3f" o.seconds;
-    ]
-  in
-  let render_table rows =
-    print_string
-      (Rd_util.Table.render
-         ~headers:
-           [ "network"; "scenario"; "instances"; "split"; "lost pairs"; "touched"; "seconds" ]
-         ~aligns:
-           Rd_util.Table.
-             [ Left; Left; Right; Right; Right; Right; Right ]
-         rows)
-  in
-  let run dir study seed only batch remove_routers remove_links shutdowns json metrics_flag
-      trace_file deadline task_timeout checkpoint_dir resume =
+  let run target batch remove_routers remove_links shutdowns json obs budget ck =
     guard @@ fun () ->
-    let trace = if trace_file <> None then Some (Rd_util.Trace.create ()) else None in
-    let metrics = if metrics_flag then Some (Rd_util.Metrics.create ()) else None in
-    let finish () =
-      (match (trace, trace_file) with
-       | Some t, Some path ->
-         Rd_util.Trace.to_file t path;
-         Printf.eprintf "trace written to %s (%d spans)\n" path
-           (List.length (Rd_util.Trace.spans t))
-       | _ -> ());
-      match metrics with
-      | Some m ->
-        print_endline "--- metrics ---";
-        print_string (Rd_util.Metrics.render m)
-      | None -> ()
-    in
     let inline_changes =
       List.map (fun r -> Rd_core.Whatif.Remove_router r) remove_routers
       @ List.map
@@ -461,71 +550,41 @@ let whatif_cmd =
             | _ -> die ~code:"usage" "--shutdown-interface %s: expected ROUTER:IFACE" s)
           shutdowns
     in
-    match (dir, study) with
-    | Some _, true -> die ~code:"usage" "give either DIR or --study, not both"
-    | None, false -> die ~code:"usage" "give a DIR of configurations or --study"
-    | None, true ->
-      if inline_changes <> [] || batch <> None then
-        die ~code:"usage" "--study derives per-network scenarios; it excludes --batch and \
-                           inline change flags";
-      let only_opt = match only with [] -> None | ids -> Some ids in
-      if json then begin
-        if deadline <> None || task_timeout <> None || checkpoint_dir <> None || resume then
-          die ~code:"usage" "--json excludes --deadline/--task-timeout/--checkpoint/--resume";
-        let nets =
-          Rd_study.Population.build ?only:only_opt ?metrics ?trace ~master_seed:seed ()
-        in
-        let engine = Rd_core.Engine.create ?metrics ?trace () in
-        let networks =
-          List.map
-            (fun (n : Rd_study.Population.network) ->
-              let net =
-                Rd_core.Engine.load engine ~name:n.spec.label
-                  (Rd_study.Population.generate_one n.spec)
-              in
-              let outcomes =
-                Rd_core.Engine.run_scenarios engine net
-                  (Rd_study.Experiments.default_scenarios n)
-              in
-              J.Obj
-                [
-                  ("network", J.String n.spec.label);
-                  ("scenarios", J.List (List.map outcome_json outcomes));
-                ])
-            nets
-        in
-        print_endline
-          (J.to_string (J.Obj [ ("networks", J.List networks); ("cache", cache_json engine) ]));
-        finish ()
-      end
-      else begin
-        let root = root_token ?deadline () in
-        let checkpoint = open_checkpoint ?metrics ~resume checkpoint_dir in
-        let report, failures =
-          Rd_study.Driver.whatif ?metrics ?trace ~cancel:root ?task_timeout ?checkpoint
-            ~resume ?only:only_opt ~master_seed:seed ()
-        in
-        print_string report;
-        (if failures <> [] then
-           let total =
-             List.length
-               (Rd_study.Population.wanted_specs ?only:only_opt ~master_seed:seed ())
-           in
-           print_string (Rd_study.Population.render_failures ~total failures));
-        finish ();
-        checkpoint_stats checkpoint;
-        exit_interrupted root;
-        if failures <> [] then exit 1
-      end
-    | Some d, false ->
-      if checkpoint_dir <> None || resume then
-        die ~code:"usage" "--checkpoint/--resume apply to --study sweeps";
-      let root = root_token ?deadline () in
-      let cancel =
-        match task_timeout with
-        | None -> root
-        | Some dl -> Rd_util.Cancel.child ~deadline:dl root
+    (match target with
+     | Study _ when inline_changes <> [] || batch <> None ->
+       die ~code:"usage" "--study derives per-network scenarios; it excludes --batch and \
+                          inline change flags"
+     | Study _ when json && supervised budget ck ->
+       die ~code:"usage" "--json excludes --deadline/--task-timeout/--checkpoint/--resume"
+     | _ -> ());
+    let checkpoint = open_checkpoint ?metrics:obs.metrics ck target in
+    match target with
+    | Study { seed; only } when json ->
+      let engine = Rd_core.Engine.create ?metrics:obs.metrics ?trace:obs.trace () in
+      let networks =
+        List.map
+          (fun (spec : Rd_study.Population.spec) ->
+            J.Obj (network_fields spec.label (Rd_study.Experiments.whatif_outcomes engine spec)))
+          (Rd_study.Population.wanted_specs ?only ~master_seed:seed ())
       in
+      print_endline
+        (J.to_string (J.Obj [ ("networks", J.List networks); ("cache", cache_json engine) ]));
+      obs.finish ()
+    | Study { seed; only } ->
+      let root, _ = tokens budget in
+      let report, failures =
+        Rd_study.Driver.whatif ?metrics:obs.metrics ?trace:obs.trace ~cancel:root
+          ?task_timeout:budget.task_timeout ?checkpoint ~resume:ck.resume ?only
+          ~master_seed:seed ()
+      in
+      print_string report;
+      print_failures
+        ~total:(List.length (Rd_study.Population.wanted_specs ?only ~master_seed:seed ()))
+        failures;
+      obs.finish ();
+      conclude ~root ?checkpoint (failures <> [])
+    | Dir d ->
+      let root, cancel = tokens budget in
       let name = Filename.basename d in
       let files = load_dir d in
       let scenarios =
@@ -544,43 +603,22 @@ let whatif_cmd =
                or --batch FILE)"
           else [ { Rd_core.Whatif.label = "cli"; changes = inline_changes } ]
       in
-      let engine = Rd_core.Engine.create ?metrics ?trace ~cancel () in
+      let engine = Rd_core.Engine.create ?metrics:obs.metrics ?trace:obs.trace ~cancel () in
       let net = Rd_core.Engine.load engine ~name files in
       let outcomes = Rd_core.Engine.run_scenarios engine net scenarios in
       (if json then
          print_endline
-           (J.to_string
-              (J.Obj
-                 [
-                   ("network", J.String name);
-                   ("scenarios", J.List (List.map outcome_json outcomes));
-                   ("cache", cache_json engine);
-                 ]))
+           (J.to_string (J.Obj (network_fields name outcomes @ [ ("cache", cache_json engine) ])))
        else
          match (batch, outcomes) with
          | None, [ o ] ->
            (* single inline scenario: the classic detailed diff *)
            print_string (Rd_core.Whatif.render o.diff)
-         | _ -> render_table (List.map (outcome_row name) outcomes));
-      finish ();
-      exit_interrupted root
-  in
-  let dir_opt_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"DIR" ~doc:"Directory of configuration files (omit with $(b,--study)).")
-  in
-  let study_arg =
-    Arg.(value & flag
-         & info [ "study" ]
-             ~doc:"Sweep derived maintenance scenarios over every network of the 31-network \
-                   study population through one shared incremental engine.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed (with --study).")
-  in
-  let only_arg =
-    Arg.(value & opt (list int) []
-         & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids (with --study).")
+         | _ ->
+           print_string
+             (Rd_study.Experiments.whatif_table (Rd_study.Experiments.whatif_rows name outcomes)));
+      obs.finish ();
+      conclude ~root false
   in
   let batch_arg =
     Arg.(value & opt (some string) None
@@ -604,142 +642,76 @@ let whatif_cmd =
              ~doc:"Administratively shut one interface (colon-separated because interface \
                    names contain slashes, e.g. $(b,core1:Serial0/0)).")
   in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit per-scenario impact records and engine cache statistics as JSON \
-                   (what CI archives).")
-  in
-  let metrics_arg =
-    Arg.(value & flag
-         & info [ "metrics" ]
-             ~doc:"Collect cache hit/miss/eviction and fixpoint counters during the sweep \
-                   and print the registry snapshot as tables.")
-  in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace_event JSON timeline (cache-miss spans included) to \
-                   $(docv).")
-  in
   Cmd.v
     (Cmd.info "whatif"
        ~doc:"Model the effect of failures/maintenance on the design (paper §8.1), \
              incrementally: batch scenarios share one content-addressed engine, and each \
              scenario's reachability restarts from the baseline fixpoint's dirtied frontier \
              only.")
-    Term.(const run $ dir_opt_arg $ study_arg $ seed_arg $ only_arg $ batch_arg $ routers_arg
-          $ links_arg $ shutdown_arg $ json_arg $ metrics_arg $ trace_arg $ deadline_arg
-          $ task_timeout_arg $ checkpoint_arg $ resume_arg)
+    Term.(const run
+          $ target
+              ~study_doc:"Sweep derived maintenance scenarios over every network of the \
+                          31-network study population through one shared incremental engine."
+          $ batch_arg $ routers_arg $ links_arg $ shutdown_arg
+          $ json_arg
+              ~doc:"Emit per-scenario impact records and engine cache statistics as JSON \
+                    (what CI archives)."
+          $ observe
+              ~trace_doc:"Write a Chrome trace_event JSON timeline (cache-miss spans included) \
+                          to $(docv)."
+              ~metrics_doc:"Collect cache hit/miss/eviction and fixpoint counters during the \
+                            sweep and print the registry snapshot as tables."
+              ()
+          $ budget $ checkpoint)
 
 (* --- crosscheck --------------------------------------------------------- *)
 
 let crosscheck_cmd =
-  let run dir study seed only jobs json shrink repro_dir inject deadline task_timeout
-      checkpoint_dir resume =
+  let run (fault_spec, faults) target jobs json shrink repro_dir budget ck =
     guard @@ fun () ->
-    let faults =
-      match inject with
-      | Some spec -> (
-        match Rd_util.Fault.of_spec spec with
-        | Ok f -> Some f
-        | Error msg -> die ~code:"bad-fault-spec" "--inject-faults: %s" msg)
-      | None -> (
-        match Rd_util.Fault.from_env () with
-        | Ok f -> f
-        | Error msg -> die ~code:"bad-fault-spec" "RDNA_FAULTS: %s" msg)
+    let shrink_one ~name ~files (v : Rd_check.Crosscheck.violation) =
+      let violates fs = Rd_check.Crosscheck.violates ~invariant:v.invariant ~name fs in
+      let minimal = Rd_check.Shrink.shrink ~violates files in
+      let out = Filename.concat repro_dir (name ^ "-" ^ v.invariant) in
+      Rd_check.Shrink.write_repro ~dir:out ~network:name ~invariant:v.invariant ~detail:v.detail
+        minimal;
+      Printf.eprintf "repro written to %s (%d of %d files)\n" out (List.length minimal)
+        (List.length files)
     in
-    let shrink_one ~name ~files (r : Rd_check.Crosscheck.report) =
-      match r.violations with
-      | [] -> ()
-      | v :: _ ->
-        let violates fs = Rd_check.Crosscheck.violates ~invariant:v.invariant ~name fs in
-        let minimal = Rd_check.Shrink.shrink ~violates files in
-        let out = Filename.concat repro_dir (name ^ "-" ^ v.invariant) in
-        Rd_check.Shrink.write_repro ~dir:out ~network:name ~invariant:v.invariant
-          ~detail:v.detail minimal;
-        Printf.eprintf "repro written to %s (%d of %d files)\n" out (List.length minimal)
-          (List.length files)
+    let checkpoint = open_checkpoint ck target in
+    let root, cancel = tokens budget in
+    (* (network, its configuration files on demand, result) *)
+    let results =
+      match target with
+      | Dir d ->
+        let name = Filename.basename d in
+        let files = load_dir d in
+        [ (name, (fun () -> files), Ok (Rd_check.Crosscheck.run ~cancel ?faults ~name files)) ]
+      | Study { seed; only } ->
+        (* The fault spec changes results, so it joins the resume key — a
+           resumed run under different chaos misses instead of replaying. *)
+        let salt = match fault_spec with Some s -> [ "faults=" ^ s ] | None -> [] in
+        Rd_study.Driver.crosscheck ?faults ~cancel:root ?task_timeout:budget.task_timeout ~salt
+          ~jobs ?checkpoint ~resume:ck.resume ?only ~master_seed:seed ()
+        |> List.map (fun ((spec : Rd_study.Population.spec), r) ->
+               (spec.label, (fun () -> Rd_study.Population.generate_one spec), r))
     in
-    match (dir, study) with
-    | Some _, true -> die ~code:"usage" "give either DIR or --study, not both"
-    | None, false -> die ~code:"usage" "give a DIR of configurations or --study"
-    | Some d, false ->
-      if checkpoint_dir <> None || resume then
-        die ~code:"usage" "--checkpoint/--resume apply to --study sweeps";
-      let root = root_token ?deadline () in
-      let cancel =
-        match task_timeout with
-        | None -> root
-        | Some dl -> Rd_util.Cancel.child ~deadline:dl root
-      in
-      let name = Filename.basename d in
-      let files = load_dir d in
-      let reports = [ Rd_check.Crosscheck.run ~cancel ?faults ~name files ] in
-      if json then
-        print_endline (Rd_util.Json.to_string (Rd_check.Crosscheck.to_json reports))
-      else print_string (Rd_check.Crosscheck.render reports);
-      if shrink then List.iter (shrink_one ~name ~files) reports;
-      exit_interrupted root;
-      if Rd_check.Crosscheck.has_errors reports then exit 1
-    | None, true ->
-      let only_opt = match only with [] -> None | ids -> Some ids in
-      let root = root_token ?deadline () in
-      let checkpoint = open_checkpoint ~resume checkpoint_dir in
-      (* The fault spec changes results, so it joins the resume key — a
-         resumed run under different chaos misses instead of replaying. *)
-      let salt = match inject with Some spec -> [ "faults=" ^ spec ] | None -> [] in
-      let results =
-        Rd_study.Driver.crosscheck ?faults ~cancel:root ?task_timeout ~salt ~jobs
-          ?checkpoint ~resume ?only:only_opt ~master_seed:seed ()
-      in
-      let reports = List.filter_map (fun (_, r) -> Result.to_option r) results in
-      let failures =
-        List.filter_map
-          (fun (_, r) -> match r with Error f -> Some f | Ok _ -> None)
-          results
-      in
-      if json then
-        print_endline (Rd_util.Json.to_string (Rd_check.Crosscheck.to_json reports))
-      else print_string (Rd_check.Crosscheck.render reports);
-      if failures <> [] then
-        print_string
-          (Rd_study.Population.render_failures ~total:(List.length results) failures);
-      if shrink then
-        List.iter
-          (fun ((spec : Rd_study.Population.spec), r) ->
-            match r with
-            | Ok (report : Rd_check.Crosscheck.report) when report.violations <> [] ->
-              shrink_one ~name:spec.label
-                ~files:(Rd_study.Population.generate_one spec)
-                report
-            | _ -> ())
-          results;
-      checkpoint_stats checkpoint;
-      exit_interrupted root;
-      if failures <> [] || Rd_check.Crosscheck.has_errors reports then exit 1
-  in
-  let dir_opt_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"DIR" ~doc:"Directory of configuration files (omit with $(b,--study)).")
-  in
-  let study_arg =
-    Arg.(value & flag
-         & info [ "study" ] ~doc:"Cross-check every network of the 31-network study population.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed (with --study).")
-  in
-  let only_arg =
-    Arg.(value & opt (list int) []
-         & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids (with --study).")
-  in
-  let jobs_arg =
-    Arg.(value & opt int (Rd_util.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for parallel cross-checking.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON (what CI archives).")
+    let reports = List.filter_map (fun (_, _, r) -> Result.to_option r) results in
+    let failures =
+      List.filter_map (fun (_, _, r) -> match r with Error f -> Some f | Ok _ -> None) results
+    in
+    if json then print_endline (Rd_util.Json.to_string (Rd_check.Crosscheck.to_json reports))
+    else print_string (Rd_check.Crosscheck.render reports);
+    print_failures ~total:(List.length results) failures;
+    if shrink then
+      List.iter
+        (fun (name, files, r) ->
+          match r with
+          | Ok { Rd_check.Crosscheck.violations = v :: _; _ } ->
+            shrink_one ~name ~files:(files ()) v
+          | _ -> ())
+        results;
+    conclude ~root ?checkpoint (failures <> [] || Rd_check.Crosscheck.has_errors reports)
   in
   let shrink_arg =
     Arg.(value & flag
@@ -751,13 +723,6 @@ let crosscheck_cmd =
     Arg.(value & opt string "crosscheck-repro"
          & info [ "repro-dir" ] ~docv:"DIR" ~doc:"Where $(b,--shrink) writes repro directories.")
   in
-  let inject_arg =
-    Arg.(value & opt (some string) None
-         & info [ "inject-faults" ] ~docv:"SPEC"
-             ~doc:"Deterministic chaos: inject faults per $(docv) (e.g. \
-                   $(b,seed=7;crosscheck.network:delay=5:key=net16)); falls back to the \
-                   $(b,RDNA_FAULTS) environment variable.")
-  in
   Cmd.v
     (Cmd.info "crosscheck"
        ~doc:"Differential reachability cross-check: assert the concrete simulation's routes are \
@@ -765,14 +730,20 @@ let crosscheck_cmd =
              metamorphic invariant suite (anonymize-structure, deny-filter monotonicity, \
              remove-router monotonicity, worklist=rounds).  Exits non-zero on any \
              error-severity violation.")
-    Term.(const run $ dir_opt_arg $ study_arg $ seed_arg $ only_arg $ jobs_arg $ json_arg
-          $ shrink_arg $ repro_arg $ inject_arg $ deadline_arg $ task_timeout_arg
-          $ checkpoint_arg $ resume_arg)
+    Term.(const run
+          $ faults
+              ~doc:"Deterministic chaos: inject faults per $(docv) (e.g. \
+                    $(b,seed=7;crosscheck.network:delay=5:key=net16)); falls back to the \
+                    $(b,RDNA_FAULTS) environment variable."
+          $ target ~study_doc:"Cross-check every network of the 31-network study population."
+          $ jobs_arg ~doc:"Worker domains for parallel cross-checking."
+          $ json_arg ~doc:"Emit the report as JSON (what CI archives)."
+          $ shrink_arg $ repro_arg $ budget $ checkpoint)
 
 (* --- netlint ------------------------------------------------------------ *)
 
 let netlint_cmd =
-  let run dir study seed only jobs rules json deadline task_timeout =
+  let run rules target jobs json budget =
     guard @@ fun () ->
     let rules =
       match rules with
@@ -786,72 +757,37 @@ let netlint_cmd =
           rs;
         Some rs
     in
-    let finish root reports failures total =
-      if json then
-        print_endline (Rd_util.Json.to_string (Rd_core.Netlint.to_json reports))
-      else print_string (Rd_core.Netlint.render reports);
-      if failures <> [] then
-        print_string (Rd_study.Population.render_failures ~total failures);
-      exit_interrupted root;
-      if failures <> [] || Rd_core.Netlint.has_errors reports then exit 1
+    let root, cancel = tokens budget in
+    let reports, failures, total =
+      match target with
+      | Dir d ->
+        let name = Filename.basename d in
+        ([ Rd_core.Netlint.run ~cancel ?rules ~name (load_dir d) ], [], 1)
+      | Study { seed; only } ->
+        let results =
+          Rd_study.Population.build_results ~cancel:root ?task_timeout:budget.task_timeout ~jobs
+            ?only ~master_seed:seed ()
+        in
+        (* Lint sequentially over the built analyses; a SIGINT renders
+           whatever finished. *)
+        let reports, failures =
+          List.fold_left
+            (fun (rs, fs) -> function
+              | Ok (nw : Rd_study.Population.network) ->
+                if Rd_util.Cancel.cancelled (Some root) then (rs, fs)
+                else
+                  let files = Rd_study.Population.generate_one nw.spec in
+                  ( Rd_core.Netlint.run_analysis ~cancel:root ?rules ~files nw.analysis :: rs,
+                    fs )
+              | Error f -> (rs, f :: fs))
+            ([], []) results
+        in
+        (List.rev reports, List.rev failures, List.length results)
     in
-    match (dir, study) with
-    | Some _, true -> die ~code:"usage" "give either DIR or --study, not both"
-    | None, false -> die ~code:"usage" "give a DIR of configurations or --study"
-    | Some d, false ->
-      let root = root_token ?deadline () in
-      let cancel =
-        match task_timeout with
-        | None -> root
-        | Some dl -> Rd_util.Cancel.child ~deadline:dl root
-      in
-      let name = Filename.basename d in
-      let files = load_dir d in
-      let reports = [ Rd_core.Netlint.run ~cancel ?rules ~name files ] in
-      finish root reports [] 1
-    | None, true ->
-      let only_opt = match only with [] -> None | ids -> Some ids in
-      let root = root_token ?deadline () in
-      let results =
-        Rd_study.Population.build_results ~cancel:root ?task_timeout ~jobs
-          ?only:only_opt ~master_seed:seed ()
-      in
-      (* Lint sequentially over the built analyses; a SIGINT renders
-         whatever finished. *)
-      let reports, failures =
-        List.fold_left
-          (fun (rs, fs) -> function
-            | Ok (nw : Rd_study.Population.network) ->
-              if Rd_util.Cancel.cancelled (Some root) then (rs, fs)
-              else
-                let files = Rd_study.Population.generate_one nw.spec in
-                ( Rd_core.Netlint.run_analysis ~cancel:root ?rules ~files
-                    nw.analysis
-                  :: rs,
-                  fs )
-            | Error f -> (rs, f :: fs))
-          ([], []) results
-      in
-      finish root (List.rev reports) (List.rev failures) (List.length results)
-  in
-  let dir_opt_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"DIR" ~doc:"Directory of configuration files (omit with $(b,--study)).")
-  in
-  let study_arg =
-    Arg.(value & flag
-         & info [ "study" ] ~doc:"Lint every network of the 31-network study population.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed (with --study).")
-  in
-  let only_arg =
-    Arg.(value & opt (list int) []
-         & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids (with --study).")
-  in
-  let jobs_arg =
-    Arg.(value & opt int (Rd_util.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for building the population.")
+    if json then print_endline (Rd_util.Json.to_string (Rd_core.Netlint.to_json reports))
+    else print_string (Rd_core.Netlint.render reports);
+    print_failures ~total failures;
+    conclude ~root (failures <> [] || Rd_core.Netlint.has_errors reports)
   in
   let rules_arg =
     Arg.(value & opt (list string) []
@@ -859,16 +795,16 @@ let netlint_cmd =
              ~doc:"Comma-separated rule families to run (default: all of \
                    redistribution-loop, route-leak, peer-consistency, shadowed-rules).")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON (what CI archives).")
-  in
   Cmd.v
     (Cmd.info "netlint"
        ~doc:"Network-wide semantic lint: redistribution-loop and route-leak dataflow over \
              the instance graph, BGP/OSPF peer-consistency checks, and shadowed \
              filter-rule detection.  Exits non-zero on any error-severity finding.")
-    Term.(const run $ dir_opt_arg $ study_arg $ seed_arg $ only_arg $ jobs_arg $ rules_arg
-          $ json_arg $ deadline_arg $ task_timeout_arg)
+    Term.(const run $ rules_arg
+          $ target ~study_doc:"Lint every network of the 31-network study population."
+          $ jobs_arg ~doc:"Worker domains for building the population."
+          $ json_arg ~doc:"Emit the report as JSON (what CI archives)."
+          $ budget)
 
 (* --- generate ----------------------------------------------------------- *)
 
@@ -901,53 +837,29 @@ let generate_cmd =
              ~doc:"backbone|enterprise|compartment|restricted|tier2|hub-spoke|igp-only")
   in
   let n_arg = Arg.(value & opt int 30 & info [ "n" ] ~docv:"N" ~doc:"Router count.") in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let out_arg = Arg.(value & opt string "generated" & info [ "out"; "o" ] ~docv:"OUT" ~doc:"Output directory.") in
   Cmd.v (Cmd.info "generate" ~doc:"Generate a synthetic network's configuration files.")
-    Term.(const run $ arch_arg $ n_arg $ seed_arg $ out_arg)
+    Term.(const run $ arch_arg $ n_arg $ seed_arg ~default:1 ~doc:"PRNG seed." () $ out_arg)
+
 
 (* --- study -------------------------------------------------------------- *)
 
 let study_cmd =
-  let run seed only jobs timing trace_file metrics_flag metrics_json inject fail_fast
-      keep_going retries deadline task_timeout checkpoint_dir resume =
+  let run (pop : population) jobs obs (_, faults) fail_fast retries budget ck =
     guard @@ fun () ->
-    if fail_fast && keep_going then
-      die ~code:"usage" "--fail-fast and --keep-going are mutually exclusive";
-    if fail_fast && (deadline <> None || task_timeout <> None || checkpoint_dir <> None || resume)
-    then
+    if fail_fast && supervised budget ck then
       die ~code:"usage"
         "--fail-fast excludes --deadline/--task-timeout/--checkpoint/--resume (supervision \
          needs keep-going)";
-    (* --timing is served from the same recorder as --trace; tracing and
-       metrics are purely observational, so study output is byte-identical
-       with or without them (the bench asserts this). *)
-    let trace =
-      if timing || trace_file <> None then Some (Rd_util.Trace.create ()) else None
-    in
-    let metrics =
-      if metrics_flag || metrics_json <> None then Some (Rd_util.Metrics.create ()) else None
-    in
-    let faults =
-      match inject with
-      | Some spec -> (
-        match Rd_util.Fault.of_spec spec with
-        | Ok f -> Some f
-        | Error msg -> die ~code:"bad-fault-spec" "--inject-faults: %s" msg)
-      | None -> (
-        match Rd_util.Fault.from_env () with
-        | Ok f -> f
-        | Error msg -> die ~code:"bad-fault-spec" "RDNA_FAULTS: %s" msg)
-    in
-    (match faults with Some f -> Rd_util.Fault.set_metrics f metrics | None -> ());
-    let only_opt = match only with [] -> None | ids -> Some ids in
+    Option.iter (fun f -> Rd_util.Fault.set_metrics f obs.metrics) faults;
+    let { seed; only } = pop in
     (* Default discipline is keep-going: one bad network degrades into a
        failed-network row while the other thirty print normally.
        --fail-fast restores abort-on-first-failure (caught by [guard]). *)
     let items, failures, total, root, checkpoint =
       if fail_fast then
         let nets =
-          Rd_study.Population.build ?only:only_opt ?trace ?metrics ?faults ~jobs
+          Rd_study.Population.build ?only ?trace:obs.trace ?metrics:obs.metrics ?faults ~jobs
             ~master_seed:seed ()
         in
         let items =
@@ -958,11 +870,12 @@ let study_cmd =
         in
         (items, [], List.length nets, None, None)
       else
-        let root = root_token ?deadline () in
-        let checkpoint = open_checkpoint ?metrics ~resume checkpoint_dir in
+        let checkpoint = open_checkpoint ?metrics:obs.metrics ck (Study pop) in
+        let root, _ = tokens budget in
         let results =
-          Rd_study.Driver.study ?trace ?metrics ?faults ~cancel:root ?task_timeout ~retries
-            ~jobs ?checkpoint ~resume ?only:only_opt ~master_seed:seed ()
+          Rd_study.Driver.study ?trace:obs.trace ?metrics:obs.metrics ?faults ~cancel:root
+            ?task_timeout:budget.task_timeout ~retries ~jobs ?checkpoint ~resume:ck.resume ?only
+            ~master_seed:seed ()
         in
         let items, failures =
           List.partition_map
@@ -975,110 +888,51 @@ let study_cmd =
       (fun (i : Rd_study.Driver.study_item) ->
         print_string (Rd_study.Netstat.render_block i.stat))
       items;
-    if only = [] then begin
+    if only = None then begin
       let stats = List.map (fun (i : Rd_study.Driver.study_item) -> i.stat) items in
       print_string (Rd_study.Experiments.sec7_stats stats);
       print_string (Rd_study.Experiments.table1_stats stats);
       print_string (Rd_study.Experiments.table3_stats stats);
       print_string (Rd_study.Experiments.fig11_stats stats)
     end;
-    if failures <> [] then
-      print_string (Rd_study.Population.render_failures ~total failures);
+    print_failures ~total failures;
     (* The study proper never runs the reachability fixpoint; when metrics
        were asked for, run it per network (results discarded) so the
        reach.* fixpoint counters are populated.  Checkpoint-replayed
        networks carry no analysis, so they contribute no counters. *)
-    (match metrics with
-     | None -> ()
-     | Some _ ->
-       List.iter
-         (fun (i : Rd_study.Driver.study_item) ->
-           match i.network with
-           | Some (n : Rd_study.Population.network) ->
-             ignore (Rd_reach.Reachability.compute ?metrics n.analysis.graph)
-           | None -> ())
-         items);
-    (match trace with
-     | Some t when timing ->
+    Option.iter
+      (fun metrics ->
+        List.iter
+          (fun (i : Rd_study.Driver.study_item) ->
+            Option.iter
+              (fun (n : Rd_study.Population.network) ->
+                ignore (Rd_reach.Reachability.compute ~metrics n.analysis.graph))
+              i.network)
+          items)
+      obs.metrics;
+    (match obs.trace with
+     | Some t when obs.timing ->
        Printf.printf "--- pipeline stage wall time (%d jobs) ---\n" jobs;
        print_string (Rd_util.Trace.render_stages t)
      | _ -> ());
-    (match (trace, trace_file) with
-     | Some t, Some path ->
-       Rd_util.Trace.to_file t path;
-       Printf.eprintf "trace written to %s (%d spans)\n" path
-         (List.length (Rd_util.Trace.spans t))
-     | _ -> ());
-    (match metrics with
-     | None -> ()
-     | Some m ->
-       if metrics_flag then begin
-         print_endline "--- metrics ---";
-         print_string (Rd_util.Metrics.render m)
-       end;
-       match metrics_json with
-       | Some path ->
-         Rd_util.Json.to_file path (Rd_util.Metrics.to_json m);
-         Printf.eprintf "metrics written to %s\n" path
-       | None -> ());
-    checkpoint_stats checkpoint;
-    (match root with Some r -> exit_interrupted r | None -> ());
-    if failures <> [] then exit 1
-  in
-  let seed_arg = Arg.(value & opt int 2004 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed.") in
-  let only_arg =
-    Arg.(value & opt (list int) [] & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated net ids.")
-  in
-  let jobs_arg =
-    Arg.(value & opt int (Rd_util.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker domains for the parallel study build (default: $(b,RDNA_JOBS) or the \
-                   recommended domain count).")
+    obs.finish ();
+    conclude ?root ?checkpoint (failures <> [])
   in
   let timing_arg =
     Arg.(value & flag
          & info [ "timing" ]
              ~doc:"Report per-stage pipeline wall time (aggregated from the span tracer).")
   in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace_event JSON timeline of the run to $(docv) (open in \
-                   chrome://tracing or Perfetto).  Nested spans cover each network's analyze \
-                   call, its pipeline stages, and pool tasks.")
-  in
-  let metrics_arg =
-    Arg.(value & flag
-         & info [ "metrics" ]
-             ~doc:"Collect parser/pool/instance/fixpoint metrics during the run and print the \
-                   registry snapshot as tables.  Also runs the per-network reachability \
-                   fixpoint (output unchanged) so reach.* counters are populated.")
-  in
   let metrics_json_arg =
     Arg.(value & opt (some string) None
          & info [ "metrics-json" ] ~docv:"FILE"
              ~doc:"Like $(b,--metrics) but write the snapshot as JSON to $(docv).")
-  in
-  let inject_arg =
-    Arg.(value & opt (some string) None
-         & info [ "inject-faults" ] ~docv:"SPEC"
-             ~doc:"Deterministic chaos: inject faults per $(docv) (e.g. \
-                   $(b,seed=7;study.network:raise:key=net4)); falls back to the \
-                   $(b,RDNA_FAULTS) environment variable.  See the Fault module for the \
-                   grammar.")
   in
   let fail_fast_arg =
     Arg.(value & flag
          & info [ "fail-fast" ]
              ~doc:"Abort the whole study on the first network whose analysis fails, with a \
                    coded error and exit 1 (the strict discipline).")
-  in
-  let keep_going_arg =
-    Arg.(value & flag
-         & info [ "keep-going" ]
-             ~doc:"Degrade per network (the default): failed networks are reported in a \
-                   trailing table, survivors print normally, and the exit status is 1 when \
-                   any network failed.")
   in
   let retries_arg =
     Arg.(value & opt int 0
@@ -1087,9 +941,27 @@ let study_cmd =
                    it as failed (keep-going mode only).")
   in
   Cmd.v (Cmd.info "study" ~doc:"Run the 31-network study (paper §5-§7).")
-    Term.(const run $ seed_arg $ only_arg $ jobs_arg $ timing_arg $ trace_arg $ metrics_arg
-          $ metrics_json_arg $ inject_arg $ fail_fast_arg $ keep_going_arg $ retries_arg
-          $ deadline_arg $ task_timeout_arg $ checkpoint_arg $ resume_arg)
+    Term.(const run
+          $ population ~seed_doc:"Master seed." ~only_doc:"Comma-separated net ids."
+          $ jobs_arg
+              ~doc:"Worker domains for the parallel study build (default: $(b,RDNA_JOBS) or \
+                    the recommended domain count)."
+          (* --timing is served from the same recorder as --trace *)
+          $ observe ~timing:timing_arg ~metrics_json:metrics_json_arg
+              ~trace_doc:"Write a Chrome trace_event JSON timeline of the run to $(docv) (open \
+                          in chrome://tracing or Perfetto).  Nested spans cover each network's \
+                          analyze call, its pipeline stages, and pool tasks."
+              ~metrics_doc:"Collect parser/pool/instance/fixpoint metrics during the run and \
+                            print the registry snapshot as tables.  Also runs the per-network \
+                            reachability fixpoint (output unchanged) so reach.* counters are \
+                            populated."
+              ()
+          $ faults
+              ~doc:"Deterministic chaos: inject faults per $(docv) (e.g. \
+                    $(b,seed=7;study.network:raise:key=net4)); falls back to the \
+                    $(b,RDNA_FAULTS) environment variable.  See the Fault module for the \
+                    grammar."
+          $ fail_fast_arg $ retries_arg $ budget $ checkpoint)
 
 let () =
   let info = Cmd.info "rdna" ~version:"1.0.0" ~doc:"Routing design reverse engineering (SIGCOMM'04 reproduction)." in

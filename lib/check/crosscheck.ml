@@ -255,7 +255,7 @@ let remove_router_monotone ?limits ?cancel (a : Analysis.t) =
   if Array.length a.topo.routers = 0 then Error "no routers"
   else begin
     let name = fst a.topo.routers.(0) in
-    let after = Whatif.apply a [ Whatif.Remove_router name ] in
+    let after = (Whatif.apply_delta a [ Whatif.Remove_router name ]).analysis in
     let rb =
       Rd_reach.Reachability.compute ?limits ?cancel ~external_offers:Prefix_set.empty a.graph
     in

@@ -116,12 +116,6 @@ let apply_delta (t : Analysis.t) changes =
     warnings;
   }
 
-let apply_checked (t : Analysis.t) changes =
-  let d = apply_delta t changes in
-  (d.analysis, d.warnings)
-
-let apply (t : Analysis.t) changes = fst (apply_checked t changes)
-
 (* --- scenarios ---------------------------------------------------------- *)
 
 type scenario = { label : string; changes : change list }
@@ -272,8 +266,8 @@ let compare ?(warnings = []) ?reach_before ?reach_after ~(before : Analysis.t)
   }
 
 let run t changes =
-  let after, warnings = apply_checked t changes in
-  compare ~warnings ~before:t ~after ()
+  let d = apply_delta t changes in
+  compare ~warnings:d.warnings ~before:t ~after:d.analysis ()
 
 let render (d : diff) =
   let buf = Buffer.create 512 in

@@ -38,17 +38,10 @@ type delta = {
       (** one warning per change target that matched nothing. *)
 }
 
-val apply : Analysis.t -> change list -> Analysis.t
-(** Re-analyze the network with the changes applied.  Unknown router or
-    interface names are skipped; use {!apply_checked} to observe them. *)
-
-val apply_checked : Analysis.t -> change list -> Analysis.t * string list
-(** Like {!apply}, also returning one warning per change target that
-    matched no router, interface, or link subnet. *)
-
 val apply_delta : Analysis.t -> change list -> delta
-(** Like {!apply_checked}, additionally reporting which configuration
-    files were touched.  The other two are wrappers around this. *)
+(** Re-analyze the network with the changes applied.  A change whose
+    router, interface or link subnet matches nothing is skipped and
+    reported in [warnings]; [touched] names the files that changed. *)
 
 (** {2 Scenarios}
 
@@ -90,7 +83,7 @@ val compare :
   ?reach_after:Rd_reach.Reachability.t ->
   before:Analysis.t -> after:Analysis.t -> unit -> diff
 (** Structural and reachability diff (reachability is sampled over the
-    instances' origin sets).  [warnings] (from {!apply_checked}) is
+    instances' origin sets).  [warnings] (from {!apply_delta}) is
     carried onto the diff.
 
     Both sides are scored with an {e empty} external offer — interfaces
@@ -103,6 +96,7 @@ val compare :
     corresponding graphs, or the loss sampling is meaningless. *)
 
 val run : Analysis.t -> change list -> diff
-(** [apply] + [compare]. *)
+(** {!apply_delta} + {!compare}, from scratch: the oracle the incremental
+    {!Engine} is tested against. *)
 
 val render : diff -> string

@@ -127,12 +127,7 @@ let whatif ?metrics ?trace ?faults ?cancel ?task_timeout ?checkpoint ?(resume = 
       let eng = Rd_core.Engine.with_cancel engine tok in
       Rd_util.Fault.fault_point faults ~site:"whatif.network" ~key:spec.label;
       Rd_util.Cancel.check ~site:"whatif.network" tok;
-      let net = Rd_core.Engine.load eng ~name:spec.label (Population.generate_one spec) in
-      let rows =
-        Experiments.whatif_rows spec.label
-          (Rd_core.Engine.run_scenarios eng net
-             (Experiments.scenarios_of_analysis net.analysis))
-      in
+      let rows = Experiments.whatif_rows spec.label (Experiments.whatif_outcomes eng spec) in
       persist checkpoint ~stage:"whatif.network" ~salt:[] spec (rows_to_json rows);
       rows
   in

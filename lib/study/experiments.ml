@@ -580,20 +580,6 @@ let ablation_ospf_area (net : Population.network) =
     "(identical counts mean the network's areas are consistently configured;\n a divergence would reveal area-mismatch misconfigurations)\n";
   Buffer.contents buf
 
-let crosscheck ?limits ?cancel ?faults ?invariants (nets : Population.network list) =
-  let buf = Buffer.create 1024 in
-  heading buf "Differential cross-check"
-    "sim\xe2\x8a\x86static oracle and metamorphic invariants over the study population";
-  let reports =
-    List.map
-      (fun (n : Population.network) ->
-        Rd_check.Crosscheck.run_analysis ?limits ?cancel ?faults ?invariants
-          ~files:(Population.generate_one n.spec) n.analysis)
-      nets
-  in
-  Buffer.add_string buf (Rd_check.Crosscheck.render reports);
-  Buffer.contents buf
-
 let ablation_external (nets : Population.network list) =
   let buf = Buffer.create 1024 in
   heading buf "Ablation: external-facing detection heuristics"
@@ -650,6 +636,10 @@ let scenarios_of_analysis (a : Rd_core.Analysis.t) =
 
 let default_scenarios (net : Population.network) = scenarios_of_analysis net.analysis
 
+let whatif_outcomes engine (spec : Population.spec) =
+  let net = Rd_core.Engine.load engine ~name:spec.label (Population.generate_one spec) in
+  Rd_core.Engine.run_scenarios engine net (scenarios_of_analysis net.analysis)
+
 let whatif_rows label outcomes =
   List.map
     (fun (o : Rd_core.Engine.outcome) ->
@@ -664,18 +654,18 @@ let whatif_rows label outcomes =
       ])
     outcomes
 
+let whatif_table rows =
+  Table.render
+    ~headers:[ "network"; "scenario"; "instances"; "split"; "lost pairs"; "touched"; "seconds" ]
+    ~aligns:
+      [ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
+    rows
+
 let render_whatif ~engine rows =
   let buf = Buffer.create 1024 in
   heading buf "What-if sweeps (incremental engine)"
     "§8.1 maintenance scenarios, cached baselines and delta-restarted fixpoints";
-  Buffer.add_string buf
-    (Table.render
-       ~headers:
-         [ "network"; "scenario"; "instances"; "split"; "lost pairs"; "touched"; "seconds" ]
-       ~aligns:
-         [ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-           Table.Right ]
-       rows);
+  Buffer.add_string buf (whatif_table rows);
   let hits, misses =
     List.fold_left
       (fun (h, m) ((_, s) : string * Cache.stats) -> (h + s.hits, m + s.misses))
@@ -683,17 +673,3 @@ let render_whatif ~engine rows =
   in
   bprintf buf "\ncache: %d hits, %d misses across the engine's stores\n" hits misses;
   Buffer.contents buf
-
-let whatif_sweep ?metrics ?trace (nets : Population.network list) =
-  let engine = Rd_core.Engine.create ?metrics ?trace () in
-  let rows =
-    List.concat_map
-      (fun (n : Population.network) ->
-        let net =
-          Rd_core.Engine.load engine ~name:n.spec.label (Population.generate_one n.spec)
-        in
-        whatif_rows n.spec.label
-          (Rd_core.Engine.run_scenarios engine net (default_scenarios n)))
-      nets
-  in
-  render_whatif ~engine rows

@@ -50,15 +50,6 @@ val ablation_blocks : Population.network -> string
 val ablation_ospf_area : Population.network -> string
 (** Strict vs ignored OSPF area matching in adjacency computation. *)
 
-val crosscheck :
-  ?limits:Rd_util.Limits.t -> ?cancel:Rd_util.Cancel.t -> ?faults:Rd_util.Fault.t ->
-  ?invariants:string list -> Population.network list -> string
-(** Per-network cross-check records: the {!Rd_check.Crosscheck} report
-    (sim⊆static oracle plus metamorphic invariants) over the study
-    population, one row per network.  Regenerates each network's
-    configuration texts from its spec so the anonymize-structure
-    invariant can run. *)
-
 val ablation_external : Population.network list -> string
 (** /30 rule alone vs /30 + next-hop heuristic for external-facing
     interface detection. *)
@@ -75,22 +66,22 @@ val default_scenarios : Population.network -> Rd_core.Whatif.scenario list
     sweep file. *)
 
 val scenarios_of_analysis : Rd_core.Analysis.t -> Rd_core.Whatif.scenario list
-(** {!default_scenarios} from a bare analysis — what the checkpointing
-    what-if driver uses, since an engine-loaded network carries no
-    {!Population.spec}. *)
+(** {!default_scenarios} from a bare analysis — what the what-if sweeps
+    use, since an engine-loaded network carries no {!Population.spec}. *)
+
+val whatif_outcomes : Rd_core.Engine.t -> Population.spec -> Rd_core.Engine.outcome list
+(** Generate one study network, load it into the engine and run its
+    {!scenarios_of_analysis} — the per-network step of every what-if
+    sweep over the study population, text or JSON. *)
 
 val whatif_rows : string -> Rd_core.Engine.outcome list -> string list list
 (** One rendered sweep-table row per outcome, first column the network
     label — the unit a what-if checkpoint entry stores. *)
 
-val render_whatif : engine:Rd_core.Engine.t -> string list list -> string
-(** The sweep report: heading, row table, and the engine's cache-totals
-    line. *)
+val whatif_table : string list list -> string
+(** The bare row table of {!whatif_rows} rows, with its column
+    headers. *)
 
-val whatif_sweep :
-  ?metrics:Rd_util.Metrics.t -> ?trace:Rd_util.Trace.t ->
-  Population.network list -> string
-(** Run {!default_scenarios} for each network through one shared
-    {!Rd_core.Engine} (cached baselines, delta-restarted fixpoints) and
-    tabulate instance/splits/lost-pairs impact with per-scenario wall
-    time and engine cache totals. *)
+val render_whatif : engine:Rd_core.Engine.t -> string list list -> string
+(** The sweep report: heading, {!whatif_table}, and the engine's
+    cache-totals line. *)

@@ -270,8 +270,8 @@ let test_whatif_noop () =
 
 let test_whatif_unknown_targets_warn () =
   let a = analyze linear_net in
-  let _, warnings =
-    Rd_core.Whatif.apply_checked a
+  let { Rd_core.Whatif.warnings; _ } =
+    Rd_core.Whatif.apply_delta a
       [
         Rd_core.Whatif.Remove_router "glue";
         Rd_core.Whatif.Remove_link (Rd_addr.Prefix.of_string_exn "192.0.2.0/30");
@@ -286,8 +286,8 @@ let test_whatif_unknown_targets_warn () =
   check_bool "unknown interface" true (has "Serial9/9");
   check_bool "unknown router" true (has "ghost");
   (* matched changes stay warning-free *)
-  let _, clean = Rd_core.Whatif.apply_checked a [ Rd_core.Whatif.Remove_router "glue" ] in
-  check_int "no warnings when matched" 0 (List.length clean)
+  let clean = Rd_core.Whatif.apply_delta a [ Rd_core.Whatif.Remove_router "glue" ] in
+  check_int "no warnings when matched" 0 (List.length clean.warnings)
 
 let test_whatif_redundant_link_harmless () =
   (* add a second link between a1 and b1: removing one keeps the instance whole *)
