@@ -97,6 +97,46 @@ let fold f t init =
 
 let iter f t = fold (fun p v () -> f p v) t ()
 
+(* One simultaneous walk; a subtree present on one side only is shared
+   as it stands. *)
+let union f a b =
+  let rec go a b =
+    let value =
+      match (a.value, b.value) with
+      | None, v | v, None -> v
+      | Some v, Some w -> Some (f v w)
+    in
+    { value; zero = child a.zero b.zero; one = child a.one b.one }
+  and child x y =
+    match (x, y) with None, c | c, None -> c | Some x, Some y -> Some (go x y)
+  in
+  go a b
+
+(* Same walk as [fold], in lockstep with [since]'s node at the same
+   position.  [add] copies only the path it rewrites, so a subtree that
+   is physically the one in [since] holds no changed binding and is
+   skipped whole. *)
+let fold_changed f ~since t init =
+  let rec go addr depth old node acc =
+    match old with
+    | Some o when o == node -> acc
+    | _ ->
+      let acc =
+        match (node.value, old) with
+        | Some v, Some { value = Some w; _ } when v == w -> acc
+        | Some v, _ -> f (Prefix.make (Ipv4.of_int addr) depth) v acc
+        | None, _ -> acc
+      in
+      let old_zero, old_one =
+        match old with Some o -> (o.zero, o.one) | None -> (None, None)
+      in
+      let acc = match node.zero with None -> acc | Some c -> go addr (depth + 1) old_zero c acc in
+      match node.one with
+      | None -> acc
+      | Some c -> go (addr lor (1 lsl (31 - depth))) (depth + 1) old_one c acc
+  in
+  go 0 0 (Some since) t init
+
 let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
 let cardinal t = fold (fun _ _ n -> n + 1) t 0

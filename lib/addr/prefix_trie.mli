@@ -39,6 +39,19 @@ val fold : (Prefix.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 val iter : (Prefix.t -> 'a -> unit) -> 'a t -> unit
 (** Iterate over bindings in address order. *)
 
+val union : ('a -> 'a -> 'a) -> 'a t -> 'a t -> 'a t
+(** [union f a b] binds every prefix bound in [a] or [b]; a prefix bound
+    in both gets [f va vb].  Subtrees bound on one side only are shared,
+    not copied. *)
+
+val fold_changed : (Prefix.t -> 'a -> 'b -> 'b) -> since:'a t -> 'a t -> 'b -> 'b
+(** [fold_changed f ~since t] folds, in address order, over the bindings
+    of [t] whose value is not physically the one bound at the same prefix
+    in [since] (new prefixes included; bindings only in [since] are
+    ignored).  Tries share every subtree that {!add} did not rewrite, so
+    when [t] was built from [since] by adds the cost is proportional to
+    the changed bindings times their depth, not to the size of [t]. *)
+
 val bindings : 'a t -> (Prefix.t * 'a) list
 (** All bindings in address order. *)
 

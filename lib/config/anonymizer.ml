@@ -6,6 +6,8 @@ type t = {
   token_cache : (string, string) Hashtbl.t;
   as_cache : (int, int) Hashtbl.t;
   as_used : (int, unit) Hashtbl.t;
+  flip_cache : (int, int) Hashtbl.t;
+      (** [(i lsl 32) lor prefix] -> the PRF flip of address bit [i]. *)
 }
 
 let create ~key =
@@ -14,6 +16,7 @@ let create ~key =
     token_cache = Hashtbl.create 256;
     as_cache = Hashtbl.create 64;
     as_used = Hashtbl.create 64;
+    flip_cache = Hashtbl.create 1024;
   }
 
 (* --- dictionary -------------------------------------------------------- *)
@@ -120,17 +123,27 @@ let class_bits x =
   else if x lsr 29 = 0b110 then 3
   else 4
 
+(* The flip of bit [i] depends only on the key, [i] and the [i] leading
+   bits, and the addresses of one network share their leading bits, so
+   each flip is computed once per state. *)
+let flip t i prefix =
+  let k = (i lsl 32) lor prefix in
+  match Hashtbl.find_opt t.flip_cache k with
+  | Some f -> f
+  | None ->
+    let f =
+      Int64.to_int (Int64.logand (Sha1.prf ~key:t.key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
+    in
+    Hashtbl.replace t.flip_cache k f;
+    f
+
 let anonymize_addr t a =
   let x = Ipv4.to_int a in
   let cb = class_bits x in
   let out = ref 0 in
   for i = 0 to 31 do
     let prefix = if i = 0 then 0 else x lsr (32 - i) in
-    let flip =
-      if i < cb then 0
-      else
-        Int64.to_int (Int64.logand (Sha1.prf ~key:t.key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
-    in
+    let flip = if i < cb then 0 else flip t i prefix in
     let bit = (x lsr (31 - i)) land 1 in
     out := (!out lsl 1) lor (bit lxor flip)
   done;

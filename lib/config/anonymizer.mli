@@ -22,8 +22,8 @@
     All mappings are keyed: the same [key] reproduces the same mapping. *)
 
 type t
-(** Anonymization state: the key plus the memoized token, address and AS
-    mappings built so far. *)
+(** Anonymization state: the key plus the memoized token, AS and
+    address-bit-flip mappings built so far. *)
 
 val create : key:string -> t
 (** [create ~key] starts a fresh mapping.  The same [key] reproduces the

@@ -7,9 +7,13 @@
     and which destinations are reachable from a router under a given
     configuration.
 
-    Cost is O(rounds x edges x routes); use it on networks up to a few
-    hundred routers (the instance-level {!Rd_reach.Reachability} scales
-    further by abstracting processes away). *)
+    Rounds are delta-driven: each adjacency direction and each
+    redistribution edge offers only the sender's routes installed since
+    it last sent (DESIGN §13 argues the skipped re-offers are no-ops).
+    Over a run an edge handles each install in its sender's RIB once, at
+    a trie-depth cost to find it: O(edges x installs per process x 32)
+    in place of O(rounds x edges x routes).  Each round also scans the
+    RIB of every BGP process that configures aggregates. *)
 
 open Rd_addr
 
@@ -32,9 +36,10 @@ val run :
     every external BGP peering and IGP edge link (default: a single
     0.0.0.0/0).  [metrics] accumulates the [propagate.runs],
     [propagate.fixpoint_iterations], [propagate.routes_installed]
-    (RIB-changing installs), and [propagate.redistributions] (routes
-    offered across a redistribution edge) counters, flushed once per
-    run.
+    (RIB-changing installs), and [propagate.redistributions] (new or
+    changed routes offered across a redistribution edge; an unchanged
+    route is offered once, not once per round) counters, flushed once
+    per run.
 
     Rounds are budgeted by [limits.max_propagate_iterations] (default
     {!Rd_util.Limits.default}, the historical cap of 100): hitting the

@@ -61,10 +61,13 @@ let find t p = Prefix_trie.find p t
 
 let routes t = List.map snd (Prefix_trie.bindings t)
 
+let changed_since ~since t =
+  List.rev (Prefix_trie.fold_changed (fun _ r acc -> r :: acc) ~since t [])
+
 let size t = Prefix_trie.cardinal t
 
 let dests t = List.map fst (Prefix_trie.bindings t)
 
 let prefixes t = Prefix_set.of_prefixes (dests t)
 
-let merge a b = Prefix_trie.fold (fun _ r acc -> add acc r) b a
+let merge a b = Prefix_trie.union (fun x y -> if better y x then y else x) a b

@@ -64,7 +64,10 @@ val empty : t
 val add : t -> route -> t
 (** Keep the route if no better route for the same prefix is present.
     Preference: lower administrative distance, then (among BGP routes)
-    shorter AS path, then lower metric. *)
+    shorter AS path, then lower metric.  Returns its argument, physically,
+    unless it installs the route (the prefix was unbound, or bound to a
+    strictly worse route), so [add t r != t] tells whether the RIB
+    changed. *)
 
 val lookup : t -> Ipv4.t -> route option
 (** Longest-prefix match, then best route. *)
@@ -74,6 +77,12 @@ val find : t -> Prefix.t -> route option
 
 val routes : t -> route list
 (** All installed routes, in prefix order. *)
+
+val changed_since : since:t -> t -> route list
+(** The routes of [t], in prefix order, that are not physically the route
+    installed at the same prefix in [since] — the routes added or replaced
+    since that snapshot, when [t] was grown from [since] by {!add}.  Cost
+    proportional to those routes, not to the size of [t]. *)
 
 val size : t -> int
 (** Number of installed routes (the §6.2 route-load measure). *)
@@ -85,4 +94,4 @@ val prefixes : t -> Prefix_set.t
 (** The set of all installed destination prefixes. *)
 
 val merge : t -> t -> t
-(** Union keeping best routes. *)
+(** Union keeping best routes; on a tie, the first RIB's route. *)

@@ -516,6 +516,56 @@ let prop_trie_model =
       List.for_all (fun (p, v) -> Prefix_trie.find p trie = Some v) model
       && Prefix_trie.cardinal trie = List.length model)
 
+(* fold_changed vs the naive diff of the two tries' bindings.  Values are
+   fresh boxes, so "changed" means physically different: a later add of
+   an equal number still counts, and re-adding [since]'s own value at its
+   prefix (a rewritten path, an unchanged binding) does not. *)
+let prop_trie_fold_changed =
+  let arb_ops = QCheck.list_of_size (QCheck.Gen.int_bound 20) (QCheck.pair arb_prefix QCheck.small_int) in
+  QCheck.Test.make ~name:"prefix_trie fold_changed = naive bindings diff" ~count:300
+    (QCheck.triple arb_ops arb_ops (QCheck.list_of_size (QCheck.Gen.int_bound 5) QCheck.small_nat))
+    (fun (before, after, reused) ->
+      let add t (p, v) = Prefix_trie.add p (ref v) t in
+      let since = List.fold_left add Prefix_trie.empty before in
+      let old = Array.of_list (Prefix_trie.bindings since) in
+      let t = List.fold_left add since after in
+      let t =
+        if old = [||] then t
+        else
+          List.fold_left
+            (fun t i ->
+              let p, v = old.(i mod Array.length old) in
+              Prefix_trie.add p v t)
+            t reused
+      in
+      let got = List.rev (Prefix_trie.fold_changed (fun p v acc -> (p, v) :: acc) ~since t []) in
+      let want =
+        List.filter
+          (fun (p, v) ->
+            match Prefix_trie.find p since with Some w -> w != v | None -> true)
+          (Prefix_trie.bindings t)
+      in
+      List.length got = List.length want
+      && List.for_all2 (fun (p, v) (q, w) -> Prefix.equal p q && v == w) got want)
+
+(* union vs folding [b]'s bindings into [a] one update at a time *)
+let prop_trie_union =
+  let arb_trie =
+    QCheck.map
+      (List.fold_left (fun t (p, v) -> Prefix_trie.add p v t) Prefix_trie.empty)
+      (QCheck.list_of_size (QCheck.Gen.int_bound 20) (QCheck.pair arb_prefix QCheck.small_int))
+  in
+  QCheck.Test.make ~name:"prefix_trie union = fold of updates" ~count:300
+    (QCheck.pair arb_trie arb_trie) (fun (a, b) ->
+      let f v w = (v * 1000) + w in
+      let model =
+        Prefix_trie.fold
+          (fun p w acc ->
+            Prefix_trie.update p (function None -> Some w | Some v -> Some (f v w)) acc)
+          b a
+      in
+      Prefix_trie.bindings (Prefix_trie.union f a b) = Prefix_trie.bindings model)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "rd_addr"
@@ -576,5 +626,5 @@ let () =
         Alcotest.test_case "basics" `Quick test_trie_basics
         :: Alcotest.test_case "remove/update" `Quick test_trie_remove_update
         :: Alcotest.test_case "covering/covered_by" `Quick test_trie_covering_covered
-        :: qc [ prop_trie_model ] );
+        :: qc [ prop_trie_model; prop_trie_fold_changed; prop_trie_union ] );
     ]

@@ -594,6 +594,56 @@ let prop_prefix_preservation =
       in
       common a b = common (Anonymizer.anonymize_addr t a) (Anonymizer.anonymize_addr t b))
 
+(* The address mapping as it was before bit flips were memoized: one PRF
+   call per flipped bit, every time. *)
+let anonymize_addr_ref ~key a =
+  let x = Ipv4.to_int a in
+  let cb =
+    if x lsr 31 = 0 then 1 else if x lsr 30 = 0b10 then 2 else if x lsr 29 = 0b110 then 3 else 4
+  in
+  let out = ref 0 in
+  for i = 0 to 31 do
+    let prefix = if i = 0 then 0 else x lsr (32 - i) in
+    let flip =
+      if i < cb then 0
+      else
+        Int64.to_int
+          (Int64.logand (Rd_util.Sha1.prf ~key (Printf.sprintf "ip:%d:%d" i prefix)) 1L)
+    in
+    let bit = (x lsr (31 - i)) land 1 in
+    out := (!out lsl 1) lor (bit lxor flip)
+  done;
+  Ipv4.of_int !out
+
+let test_anon_memo_matches_reference () =
+  (* every address token of generated networks, each network through one
+     warm state as the cross-check uses it, maps as the unmemoized
+     construction does *)
+  List.iteri
+    (fun i arch ->
+      let key = Printf.sprintf "memo-%d" i in
+      let t = Anonymizer.create ~key in
+      List.iter
+        (fun seed ->
+          let net = Rd_gen.Archetype.generate arch ~seed ~n:30 ~index:i () in
+          List.iter
+            (fun (_, text) ->
+              List.iter
+                (fun tok ->
+                  let tok = List.hd (String.split_on_char '/' tok) in
+                  match Ipv4.of_string tok with
+                  | Some a ->
+                    let got = Anonymizer.anonymize_addr t a in
+                    if not (Ipv4.equal got (anonymize_addr_ref ~key a)) then
+                      Alcotest.failf "%s seed %d: %s maps differently"
+                        (Rd_gen.Archetype.to_string arch) seed tok
+                  | None -> ())
+                (String.split_on_char ' '
+                   (String.map (fun c -> if c = '\n' || c = '\t' then ' ' else c) text)))
+            (Rd_gen.Builder.to_texts net))
+        [ 1; 2 ])
+    Rd_gen.Archetype.[ Backbone; Enterprise; Compartment; Restricted; Tier2; Hub_spoke; Igp_only ]
+
 let prop_roundtrip_random_enterprise =
   QCheck.Test.make ~name:"generated networks round trip (random seeds)" ~count:15
     QCheck.(int_bound 10000)
@@ -646,6 +696,8 @@ let () =
           Alcotest.test_case "anonymize->parse round trip (archetypes)" `Quick
             test_anon_parse_round_trip_archetypes;
           Alcotest.test_case "whitespace preserved" `Quick test_anon_whitespace_preserved;
+          Alcotest.test_case "memoized flips match reference" `Quick
+            test_anon_memo_matches_reference;
         ] );
       ( "diagnostics",
         [

@@ -694,6 +694,78 @@ let test_disconnection_scenarios () =
   (* both directions between the two instances *)
   check_int "scenarios" 2 (List.length scenarios)
 
+(* ----------------------------------------------- reference oracle --- *)
+
+(* The delta-driven [Propagate.run] against the verbatim round sweep in
+   [Propagate_ref]: every process RIB route (all attributes), every router
+   RIB, the round count, convergence and the install counter must agree —
+   on converged runs and on runs a round budget cuts short. *)
+
+let all_archetypes =
+  Rd_gen.Archetype.[ Backbone; Enterprise; Compartment; Restricted; Tier2; Hub_spoke; Igp_only ]
+
+let counter m name = Option.value ~default:0 (Rd_util.Metrics.counter_value m name)
+
+let same_as_reference ~what ?limits ?external_prefixes graph =
+  let mg = Rd_util.Metrics.create () and mw = Rd_util.Metrics.create () in
+  let got = Rd_sim.Propagate.run ~metrics:mg ?limits ?external_prefixes graph in
+  let want = Propagate_ref.run ~metrics:mw ?limits ?external_prefixes graph in
+  check_int (what ^ ": iterations") want.iterations got.iterations;
+  check_bool (what ^ ": converged") want.converged got.converged;
+  let same_ribs kind wants gots =
+    Array.iteri
+      (fun i rib ->
+        if Rd_sim.Rib.routes rib <> Rd_sim.Rib.routes gots.(i) then
+          Alcotest.failf "%s: %s RIB %d differs from the reference" what kind i)
+      wants
+  in
+  same_ribs "process" want.proc_ribs got.proc_ribs;
+  same_ribs "router" want.router_ribs got.router_ribs;
+  List.iter
+    (fun name -> check_int (what ^ ": " ^ name) (counter mw name) (counter mg name))
+    [ "propagate.routes_installed"; "propagate.fixpoint_iterations"; "propagate.runs" ];
+  (* re-offers of unchanged routes are exactly what the delta rounds skip *)
+  check_bool (what ^ ": redistributions <= reference") true
+    (counter mg "propagate.redistributions" <= counter mw "propagate.redistributions");
+  want
+
+let test_reference_archetypes () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun (seed, n) ->
+          let what = Printf.sprintf "%s seed=%d n=%d" (Rd_gen.Archetype.to_string arch) seed n in
+          let net = Rd_gen.Archetype.generate arch ~seed ~n ~index:(seed mod 7) () in
+          let a = Rd_core.Analysis.analyze ~name:what (Rd_gen.Builder.to_texts net) in
+          let graph = Rd_routing.Process_graph.build a.catalog in
+          let full = same_as_reference ~what graph in
+          check_bool (what ^ ": converges") true full.converged;
+          (* a budget one round short of convergence: the partial RIBs
+             must match too *)
+          let cut =
+            same_as_reference ~what:(what ^ " cut")
+              ~limits:
+                { Rd_util.Limits.default with max_propagate_iterations = full.iterations - 1 }
+              graph
+          in
+          check_bool (what ^ ": budget cuts the fixpoint") false cut.converged;
+          (* the reference costs a full sweep per round: the other offers
+             and budgets only on the smaller networks *)
+          if n <= 40 then begin
+            ignore
+              (same_as_reference ~what:(what ^ " externals")
+                 ~external_prefixes:
+                   [ pfx "0.0.0.0/0"; pfx "198.18.0.0/15"; pfx "10.0.0.0/8"; pfx "192.0.2.0/24" ]
+                 graph);
+            ignore (same_as_reference ~what:(what ^ " no externals") ~external_prefixes:[] graph);
+            ignore
+              (same_as_reference ~what:(what ^ " one round")
+                 ~limits:{ Rd_util.Limits.default with max_propagate_iterations = 1 }
+                 graph)
+          end)
+        [ (3, 12); (17, 40); (41, 90) ])
+    all_archetypes
+
 let () =
   Alcotest.run "rd_sim"
     [
@@ -716,6 +788,8 @@ let () =
           Alcotest.test_case "loads" `Quick test_propagate_loads;
           Alcotest.test_case "instance load without members" `Quick
             test_instance_load_no_members;
+          Alcotest.test_case "equals the round-sweep reference" `Quick
+            test_reference_archetypes;
         ] );
       ( "bgp semantics",
         [
