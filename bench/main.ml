@@ -36,8 +36,6 @@ let only_whatif = ref false
 let whatif_json_path = ref ""
 let only_netlint = ref false
 let netlint_json_path = ref ""
-let deadline = ref 0.0
-let task_timeout = ref 0.0
 
 let () =
   Arg.parse
@@ -62,39 +60,9 @@ let () =
        " run only the cold-vs-warm network-wide lint bench (skip experiments and bechamel)");
       ("--netlint-json", Arg.Set_string netlint_json_path,
        "FILE  write the netlint bench results as JSON to FILE");
-      ("--deadline", Arg.Set_float deadline,
-       "SEC  whole-run budget: networks still unbuilt after SEC seconds degrade to \
-        failure rows and the bench exits 1");
-      ("--task-timeout", Arg.Set_float task_timeout,
-       "SEC  per-network build budget, clocked from each network's start");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "bench [-j N] [--json FILE] [--trace FILE] [--metrics] [--metrics-json FILE] [--only-reach] [--reach-json FILE] [--only-whatif] [--whatif-json FILE] [--only-netlint] [--netlint-json FILE] [--deadline SEC] [--task-timeout SEC]"
-
-(* [--deadline]/[--task-timeout] route the study build through the
-   supervised keep-going path; a degraded population is a hard failure
-   for the bench (every table needs all 31 networks), reported with the
-   same failed-network table rdna prints.  Without the flags the build
-   is the historical fail-fast one, byte-identical timing included. *)
-let root_cancel =
-  if !deadline > 0.0 then Some (Rd_util.Cancel.create ~deadline:!deadline ()) else None
-
-let build_population ?trace ?metrics ~jobs () =
-  let timeout = if !task_timeout > 0.0 then Some !task_timeout else None in
-  match (root_cancel, timeout) with
-  | None, None -> Rd_study.Population.build ?trace ?metrics ~jobs ~master_seed ()
-  | cancel, task_timeout ->
-    let results =
-      Rd_study.Population.build_results ?trace ?metrics ?cancel ?task_timeout ~jobs
-        ~master_seed ()
-    in
-    let nets, failures = Rd_study.Population.partition results in
-    if failures <> [] then begin
-      print_string
-        (Rd_study.Population.render_failures ~total:(List.length results) failures);
-      exit 1
-    end;
-    nets
+    "bench [-j N] [--json FILE] [--trace FILE] [--metrics] [--metrics-json FILE] [--only-reach] [--reach-json FILE] [--only-whatif] [--whatif-json FILE] [--only-netlint] [--netlint-json FILE]"
 
 (* ------------------------------------------------------------- part 1 --- *)
 
@@ -106,15 +74,15 @@ let build_study () =
   let jobs = max 1 !jobs in
   Printf.printf "building the 31-network study population (seed %d)...\n%!" master_seed;
   let t0 = Rd_util.Trace.now () in
-  let nets_seq = build_population ~jobs:1 () in
+  let nets_seq = Rd_study.Population.build ~jobs:1 ~master_seed () in
   let seq_s = Rd_util.Trace.now () -. t0 in
   let t1 = Rd_util.Trace.now () in
-  let nets = build_population ~jobs () in
+  let nets = Rd_study.Population.build ~jobs ~master_seed () in
   let par_s = Rd_util.Trace.now () -. t1 in
   let trace = Rd_util.Trace.create () in
   let metrics = Rd_util.Metrics.create () in
   let t2 = Rd_util.Trace.now () in
-  let nets_obs = build_population ~trace ~metrics ~jobs () in
+  let nets_obs = Rd_study.Population.build ~trace ~metrics ~jobs ~master_seed () in
   let obs_s = Rd_util.Trace.now () -. t2 in
   let summaries ns =
     List.map (fun (n : Rd_study.Population.network) -> Rd_core.Analysis.summary n.analysis) ns
@@ -785,7 +753,7 @@ let build_population_only () =
   let jobs = max 1 !jobs in
   Printf.printf "building the 31-network study population (seed %d, %d jobs)...\n%!"
     master_seed jobs;
-  build_population ~jobs ()
+  Rd_study.Population.build ~jobs ~master_seed ()
 
 let () =
   if !only_reach then run_reach_bench (build_population_only ())

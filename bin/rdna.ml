@@ -696,10 +696,7 @@ let crosscheck_cmd =
         |> List.map (fun ((spec : Rd_study.Population.spec), r) ->
                (spec.label, (fun () -> Rd_study.Population.generate_one spec), r))
     in
-    let reports = List.filter_map (fun (_, _, r) -> Result.to_option r) results in
-    let failures =
-      List.filter_map (fun (_, _, r) -> match r with Error f -> Some f | Ok _ -> None) results
-    in
+    let reports, failures = Rd_study.Population.partition (List.map (fun (_, _, r) -> r) results) in
     if json then print_endline (Rd_util.Json.to_string (Rd_check.Crosscheck.to_json reports))
     else print_string (Rd_check.Crosscheck.render reports);
     print_failures ~total:(List.length results) failures;
@@ -765,24 +762,15 @@ let netlint_cmd =
         ([ Rd_core.Netlint.run ~cancel ?rules ~name (load_dir d) ], [], 1)
       | Study { seed; only } ->
         let results =
-          Rd_study.Population.build_results ~cancel:root ?task_timeout:budget.task_timeout ~jobs
-            ?only ~master_seed:seed ()
+          Rd_study.Driver.sweep ~cancel:root ?task_timeout:budget.task_timeout ~jobs ?only
+            ~stage:"netlint.network" ~salt:[] ~master_seed:seed
+            (fun cancel (spec : Rd_study.Population.spec) ->
+              let files = Rd_study.Population.generate_one spec in
+              Rd_core.Netlint.run_analysis ?cancel ?rules ~files
+                (Rd_core.Analysis.analyze ~jobs ?cancel ~name:spec.label files))
         in
-        (* Lint sequentially over the built analyses; a SIGINT renders
-           whatever finished. *)
-        let reports, failures =
-          List.fold_left
-            (fun (rs, fs) -> function
-              | Ok (nw : Rd_study.Population.network) ->
-                if Rd_util.Cancel.cancelled (Some root) then (rs, fs)
-                else
-                  let files = Rd_study.Population.generate_one nw.spec in
-                  ( Rd_core.Netlint.run_analysis ~cancel:root ?rules ~files nw.analysis :: rs,
-                    fs )
-              | Error f -> (rs, f :: fs))
-            ([], []) results
-        in
-        (List.rev reports, List.rev failures, List.length results)
+        let reports, failures = Rd_study.Population.partition (List.map snd results) in
+        (reports, failures, List.length results)
     in
     if json then print_endline (Rd_util.Json.to_string (Rd_core.Netlint.to_json reports))
     else print_string (Rd_core.Netlint.render reports);
@@ -877,11 +865,7 @@ let study_cmd =
             ?task_timeout:budget.task_timeout ~retries ~jobs ?checkpoint ~resume:ck.resume ?only
             ~master_seed:seed ()
         in
-        let items, failures =
-          List.partition_map
-            (function Ok i -> Either.Left i | Error f -> Either.Right f)
-            results
-        in
+        let items, failures = Rd_study.Population.partition (List.map snd results) in
         (items, failures, List.length results, Some root, checkpoint)
     in
     List.iter

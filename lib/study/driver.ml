@@ -1,91 +1,88 @@
 module J = Rd_util.Json
 
-(* A [task_timeout] clocks from the moment the network's work starts
-   (the closure runs inside the pool task), while a process-level
-   deadline or SIGINT on [cancel] reaches every child through the
-   parent chain. *)
-let child_token cancel task_timeout =
-  match (cancel, task_timeout) with
-  | None, None -> None
-  | Some c, d -> Some (Rd_util.Cancel.child ?deadline:d c)
-  | None, (Some _ as d) -> Some (Rd_util.Cancel.create ?deadline:d ())
+type 'a codec = { to_json : 'a -> J.t; of_json : J.t -> 'a option }
 
-let probe checkpoint ~resume ~stage ~salt spec =
-  match checkpoint with
-  | Some ck when resume -> Checkpoint.find ck (Checkpoint.key ~stage ~salt spec)
-  | _ -> None
-
-let persist checkpoint ~stage ~salt spec json =
-  match checkpoint with
-  | Some ck -> Checkpoint.save ck (Checkpoint.key ~stage ~salt spec) json
-  | None -> ()
-
-let supervise ?jobs ?trace ?metrics ?faults ?cancel ~retries task wanted =
+let sweep ?trace ?metrics ?faults ?cancel ?task_timeout ?(retries = 0) ?jobs ?checkpoint
+    ?(resume = false) ?codec ?only ~stage ~salt ~master_seed task =
+  let wanted = Population.wanted_specs ?only ~master_seed () in
+  (* A [task_timeout] clocks from the moment the network's work starts
+     (this runs inside the pool task), while a process-level deadline
+     or SIGINT on [cancel] reaches every child through the parent
+     chain. *)
+  let compute spec =
+    let child =
+      match (cancel, task_timeout) with
+      | None, None -> None
+      | Some c, d -> Some (Rd_util.Cancel.child ?deadline:d c)
+      | None, (Some _ as d) -> Some (Rd_util.Cancel.create ?deadline:d ())
+    in
+    task child spec
+  in
+  let run spec =
+    match (checkpoint, codec) with
+    | Some ck, Some codec -> (
+      let key = Checkpoint.key ~stage ~salt spec in
+      match if resume then Option.bind (Checkpoint.find ck key) codec.of_json else None with
+      | Some v -> v
+      | None ->
+        let v = compute spec in
+        Checkpoint.save ck key (codec.to_json v);
+        v)
+    | _ -> compute spec
+  in
   let results =
-    Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ~retries task
-      wanted
+    Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ~retries run wanted
   in
   List.map2
-    (fun (spec : Population.spec) -> function
-      | Ok v -> Ok v
-      | Error f ->
-        Rd_util.Metrics.incr metrics "network.degraded";
-        Error { Population.spec; failure = f })
+    (fun spec r ->
+      ( spec,
+        Result.map_error
+          (fun failure ->
+            Rd_util.Metrics.incr metrics "network.degraded";
+            { Population.spec; failure })
+          r ))
     wanted results
 
 (* --- study -------------------------------------------------------------- *)
 
 type study_item = { stat : Netstat.t; network : Population.network option }
 
-let study ?trace ?metrics ?faults ?cancel ?task_timeout ?limits ?(retries = 0) ?jobs
-    ?checkpoint ?(resume = false) ?only ~master_seed () =
-  let wanted = Population.wanted_specs ?only ~master_seed () in
-  let task spec =
-    match
-      Option.bind (probe checkpoint ~resume ~stage:"study.network" ~salt:[] spec)
-        Netstat.of_json
-    with
-    | Some stat -> { stat; network = None }
-    | None ->
-      let cancel = child_token cancel task_timeout in
+let study ?trace ?metrics ?faults ?cancel ?task_timeout ?limits ?retries ?jobs ?checkpoint
+    ?resume ?only ~master_seed () =
+  let codec =
+    {
+      to_json = (fun i -> Netstat.to_json i.stat);
+      of_json = (fun j -> Option.map (fun stat -> { stat; network = None }) (Netstat.of_json j));
+    }
+  in
+  sweep ?trace ?metrics ?faults ?cancel ?task_timeout ?retries ?jobs ?checkpoint ?resume ~codec
+    ?only ~stage:"study.network" ~salt:[] ~master_seed (fun cancel spec ->
       let network =
         Population.build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits spec
       in
-      let stat = Netstat.of_network network in
-      persist checkpoint ~stage:"study.network" ~salt:[] spec (Netstat.to_json stat);
-      { stat; network = Some network }
-  in
-  supervise ?jobs ?trace ?metrics ?faults ?cancel ~retries task wanted
+      { stat = Netstat.of_network network; network = Some network })
 
 (* --- crosscheck --------------------------------------------------------- *)
 
 let crosscheck ?limits ?invariants ?trace ?metrics ?faults ?cancel ?task_timeout
-    ?(salt = []) ?(retries = 0) ?jobs ?checkpoint ?(resume = false) ?only ~master_seed ()
-    =
-  let wanted = Population.wanted_specs ?only ~master_seed () in
+    ?(salt = []) ?retries ?jobs ?checkpoint ?resume ?only ~master_seed () =
   let salt =
     (match invariants with
      | None -> []
      | Some l -> [ "invariants=" ^ String.concat "," l ])
     @ salt
   in
-  let task (spec : Population.spec) =
-    match
-      Option.bind (probe checkpoint ~resume ~stage:"crosscheck.network" ~salt spec)
-        Rd_check.Crosscheck.report_of_json
-    with
-    | Some report -> report
-    | None ->
-      let cancel = child_token cancel task_timeout in
-      let report =
-        Rd_check.Crosscheck.run ?limits ?cancel ?faults ?invariants ~name:spec.label
-          (Population.generate_one spec)
-      in
-      persist checkpoint ~stage:"crosscheck.network" ~salt spec
-        (Rd_check.Crosscheck.report_to_json report);
-      report
+  let codec =
+    {
+      to_json = Rd_check.Crosscheck.report_to_json;
+      of_json = Rd_check.Crosscheck.report_of_json;
+    }
   in
-  List.combine wanted (supervise ?jobs ?trace ?metrics ?faults ?cancel ~retries task wanted)
+  sweep ?trace ?metrics ?faults ?cancel ?task_timeout ?retries ?jobs ?checkpoint ?resume ~codec
+    ?only ~stage:"crosscheck.network" ~salt ~master_seed
+    (fun cancel (spec : Population.spec) ->
+      Rd_check.Crosscheck.run ?limits ?cancel ?faults ?invariants ~name:spec.label
+        (Population.generate_one spec))
 
 (* --- whatif ------------------------------------------------------------- *)
 
@@ -112,28 +109,20 @@ let rows_of_json j =
       rows (Some [])
   | _ -> None
 
-let whatif ?metrics ?trace ?faults ?cancel ?task_timeout ?checkpoint ?(resume = false)
-    ?only ~master_seed () =
-  let wanted = Population.wanted_specs ?only ~master_seed () in
+let whatif ?metrics ?trace ?faults ?cancel ?task_timeout ?checkpoint ?resume ?only
+    ~master_seed () =
   let engine = Rd_core.Engine.create ?metrics ?trace ?cancel () in
-  let task (spec : Population.spec) =
-    match
-      Option.bind (probe checkpoint ~resume ~stage:"whatif.network" ~salt:[] spec)
-        rows_of_json
-    with
-    | Some rows -> rows
-    | None ->
-      let tok = child_token cancel task_timeout in
-      let eng = Rd_core.Engine.with_cancel engine tok in
-      Rd_util.Fault.fault_point faults ~site:"whatif.network" ~key:spec.label;
-      Rd_util.Cancel.check ~site:"whatif.network" tok;
-      let rows = Experiments.whatif_rows spec.label (Experiments.whatif_outcomes eng spec) in
-      persist checkpoint ~stage:"whatif.network" ~salt:[] spec (rows_to_json rows);
-      rows
-  in
   (* One shared engine means one worker: the sweep's whole point is that
      later networks probe artifacts the earlier ones warmed. *)
-  let results = supervise ~jobs:1 ?trace ?metrics ?faults ?cancel ~retries:0 task wanted in
-  let rows = List.concat_map (function Ok r -> r | Error _ -> []) results in
-  let failures = List.filter_map (function Error f -> Some f | Ok _ -> None) results in
-  (Experiments.render_whatif ~engine rows, failures)
+  let results =
+    sweep ?trace ?metrics ?faults ?cancel ?task_timeout ~jobs:1 ?checkpoint ?resume
+      ~codec:{ to_json = rows_to_json; of_json = rows_of_json }
+      ?only ~stage:"whatif.network" ~salt:[] ~master_seed
+      (fun tok (spec : Population.spec) ->
+        let eng = Rd_core.Engine.with_cancel engine tok in
+        Rd_util.Fault.fault_point faults ~site:"whatif.network" ~key:spec.label;
+        Rd_util.Cancel.check ~site:"whatif.network" tok;
+        Experiments.whatif_rows spec.label (Experiments.whatif_outcomes eng spec))
+  in
+  let rows, failures = Population.partition (List.map snd results) in
+  (Experiments.render_whatif ~engine (List.concat rows), failures)

@@ -109,34 +109,6 @@ let build ?only ?trace ?metrics ?jobs ?faults ?limits ~master_seed () =
 
 type failure = { spec : spec; failure : Rd_util.Pool.failure }
 
-let build_results ?only ?trace ?metrics ?faults ?cancel ?task_timeout ?limits
-    ?(retries = 0) ?jobs ~master_seed () =
-  let wanted = wanted_specs ?only ~master_seed () in
-  (* Each network gets its own child token so a [task_timeout] clocks
-     from the moment its build starts, while a process-level deadline
-     or SIGINT on [cancel] still reaches every child through the
-     chain. *)
-  let build spec =
-    let cancel =
-      match (cancel, task_timeout) with
-      | None, None -> None
-      | Some c, d -> Some (Rd_util.Cancel.child ?deadline:d c)
-      | None, (Some _ as d) -> Some (Rd_util.Cancel.create ?deadline:d ())
-    in
-    build_network ?trace ?metrics ?jobs ?faults ?cancel ?limits spec
-  in
-  let results =
-    Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ~retries build
-      wanted
-  in
-  List.map2
-    (fun spec -> function
-      | Ok net -> Ok net
-      | Error f ->
-        Rd_util.Metrics.incr metrics "network.degraded";
-        Error { spec; failure = f })
-    wanted results
-
 let partition results =
   List.partition_map
     (function Ok n -> Either.Left n | Error f -> Either.Right f)

@@ -52,33 +52,15 @@ val build :
     its own spec, the result is byte-identical to a sequential
     ([jobs = 1]) build, in net-id order.  This is the fail-fast
     discipline: the first network whose analysis raises aborts the whole
-    build ([rdna study --fail-fast]); use {!build_results} to degrade
+    build ([rdna study --fail-fast]); use [Driver.study] to degrade
     per network instead. *)
 
 type failure = { spec : spec; failure : Rd_util.Pool.failure }
-(** A network whose build raised: which spec, plus the terminal
+(** A network whose sweep task raised: which spec, plus the terminal
     exception, its site (when a fault/budget site is known), attempt
     count, and elapsed time. *)
 
-val build_results :
-  ?only:int list -> ?trace:Rd_util.Trace.t -> ?metrics:Rd_util.Metrics.t ->
-  ?faults:Rd_util.Fault.t -> ?cancel:Rd_util.Cancel.t -> ?task_timeout:float ->
-  ?limits:Rd_util.Limits.t -> ?retries:int -> ?jobs:int ->
-  master_seed:int -> unit -> (network, failure) result list
-(** Supervised {!build}: every requested network yields [Ok] or a
-    {!failure}; one bad network never aborts the other thirty (the
-    default [rdna study] discipline).  Results stay in net-id order, and
-    a zero-failure run is byte-identical to {!build}.  [retries]
-    (default 0) re-runs a failed network up to that many extra times.
-    Each failure bumps the [network.degraded] metrics counter.
-
-    [cancel] is the run-level token: tripping it (deadline or SIGINT)
-    stops in-flight builds at their next poll and fails queued ones
-    fast, each as a [Timed_out] failure.  [task_timeout] additionally
-    derives a per-network child token whose budget clocks from that
-    network's build start — one slow network degrades alone. *)
-
-val partition : (network, failure) result list -> network list * failure list
+val partition : ('a, failure) result list -> 'a list * failure list
 (** Split into (survivors, failures), both order-preserving. *)
 
 val render_failures : total:int -> failure list -> string

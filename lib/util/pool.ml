@@ -181,14 +181,11 @@ let retryable = function Timed_out _ -> false | Exn | Fault _ | Budget _ -> true
 let failure_of ?(attempts = 1) ?(elapsed = 0.0) e bt =
   { exn = e; backtrace = bt; site = failure_site e; cause = cause_of_exn e; attempts; elapsed }
 
-(* Run one item under supervision: catch, optionally retry with
-   exponential backoff, and report the terminal failure with its cause,
-   site and total elapsed time.  [cancel] is polled before each attempt
-   so work queued behind a tripped token fails fast instead of running.
-   This is the sequential path — the in-pool path in [mapi_results]
-   requeues instead of sleeping, but here there is no queue to yield
-   to, so the backoff sleep is inline. *)
-let supervised ~retries ~backoff ~metrics ?cancel f i x =
+(* Run one item under supervision: catch, optionally retry at once, and
+   report the terminal failure with its cause, site and total elapsed
+   time.  [cancel] is polled before each attempt so work queued behind
+   a tripped token fails fast instead of running. *)
+let supervised ~retries ~metrics ?cancel f i x =
   let started = Trace.now () in
   let rec attempt k =
     match
@@ -201,7 +198,6 @@ let supervised ~retries ~backoff ~metrics ?cancel f i x =
       let fl = failure_of ~attempts:k ~elapsed:(Trace.now () -. started) e bt in
       if k <= retries && retryable fl.cause then begin
         Metrics.incr metrics "task.retried";
-        if backoff > 0.0 then Unix.sleepf (backoff *. float_of_int (1 lsl (k - 1)));
         attempt (k + 1)
       end
       else Error fl
@@ -273,19 +269,15 @@ let mapi t f l =
 let map t f l = mapi t (fun _ x -> f x) l
 
 (* Supervised variant: no poisoning — every item always gets a result.
-   One task per item (not per chunk), so an item that must back off
-   before a retry is REQUEUED with a not-before time instead of
-   sleeping in the worker: the domain goes back to the queue and other
-   items keep flowing through it even on a 2-worker pool.  A requeued
-   item that comes up early naps a couple of milliseconds and yields
-   the domain again, so the wait costs bounded busy-time and never
-   blocks real work.  The [pool.pickup] fault site fires per item here
-   (it is per chunk in the fail-fast map), failing just that item. *)
-let mapi_results ?(retries = 0) ?(backoff = 0.0) ?cancel t f l =
+   One task per item (not per chunk), so a failed item that may retry
+   is requeued behind the others instead of re-running in place.  The
+   [pool.pickup] fault site fires per item here (it is per chunk in the
+   fail-fast map), failing just that item. *)
+let mapi_results ?(retries = 0) ?cancel t f l =
   let n = List.length l in
   if n = 0 then []
   else if t.size <= 1 || n = 1 || in_worker () then
-    List.mapi (fun i x -> supervised ~retries ~backoff ~metrics:t.metrics ?cancel f i x) l
+    List.mapi (fun i x -> supervised ~retries ~metrics:t.metrics ?cancel f i x) l
   else begin
     let input = Array.of_list l in
     let results = Array.make n None in
@@ -299,34 +291,24 @@ let mapi_results ?(retries = 0) ?(backoff = 0.0) ?cancel t f l =
       if !remaining = 0 then Condition.signal all_done;
       Mutex.unlock m
     in
-    let rec run_item i ~attempt ~started ~not_before () =
-      let now = Trace.now () in
-      if now < not_before then begin
-        Unix.sleepf (Float.min 0.002 (not_before -. now));
-        submit t (run_item i ~attempt ~started ~not_before)
-      end
-      else begin
-        let started = if attempt = 1 then now else started in
-        match
-          Cancel.check ~site:"pool.queued" cancel;
-          Fault.fault_point t.faults ~site:"pool.pickup";
-          f i input.(i)
-        with
-        | y -> finish i (Ok y)
-        | exception e ->
-          let bt = Printexc.get_backtrace () in
-          let fl = failure_of ~attempts:attempt ~elapsed:(Trace.now () -. started) e bt in
-          if attempt <= retries && retryable fl.cause then begin
-            Metrics.incr t.metrics "task.retried";
-            let delay =
-              if backoff > 0.0 then backoff *. float_of_int (1 lsl (attempt - 1)) else 0.0
-            in
-            submit t (run_item i ~attempt:(attempt + 1) ~started ~not_before:(Trace.now () +. delay))
-          end
-          else finish i (Error fl)
-      end
+    let rec run_item i ~attempt ~started () =
+      let started = if attempt = 1 then Trace.now () else started in
+      match
+        Cancel.check ~site:"pool.queued" cancel;
+        Fault.fault_point t.faults ~site:"pool.pickup";
+        f i input.(i)
+      with
+      | y -> finish i (Ok y)
+      | exception e ->
+        let bt = Printexc.get_backtrace () in
+        let fl = failure_of ~attempts:attempt ~elapsed:(Trace.now () -. started) e bt in
+        if attempt <= retries && retryable fl.cause then begin
+          Metrics.incr t.metrics "task.retried";
+          submit t (run_item i ~attempt:(attempt + 1) ~started)
+        end
+        else finish i (Error fl)
     in
-    Array.iteri (fun i _ -> submit t (run_item i ~attempt:1 ~started:0.0 ~not_before:0.0)) input;
+    Array.iteri (fun i _ -> submit t (run_item i ~attempt:1 ~started:0.0)) input;
     Mutex.lock m;
     while !remaining > 0 do
       Condition.wait all_done m
@@ -335,8 +317,7 @@ let mapi_results ?(retries = 0) ?(backoff = 0.0) ?cancel t f l =
     Array.to_list (Array.map Option.get results)
   end
 
-let map_results ?retries ?backoff ?cancel t f l =
-  mapi_results ?retries ?backoff ?cancel t (fun _ x -> f x) l
+let map_results ?retries ?cancel t f l = mapi_results ?retries ?cancel t (fun _ x -> f x) l
 
 let parallel_mapi ?jobs ?trace ?metrics ?faults f l =
   let size = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
@@ -346,13 +327,12 @@ let parallel_mapi ?jobs ?trace ?metrics ?faults f l =
 let parallel_map ?jobs ?trace ?metrics ?faults f l =
   parallel_mapi ?jobs ?trace ?metrics ?faults (fun _ x -> f x) l
 
-let parallel_mapi_results ?jobs ?trace ?metrics ?faults ?cancel ?(retries = 0) ?(backoff = 0.0) f l =
+let parallel_mapi_results ?jobs ?trace ?metrics ?faults ?cancel ?(retries = 0) f l =
   let size = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
   if size <= 1 || List.length l <= 1 || in_worker () then
-    List.mapi (fun i x -> supervised ~retries ~backoff ~metrics ?cancel f i x) l
+    List.mapi (fun i x -> supervised ~retries ~metrics ?cancel f i x) l
   else
-    with_pool ~jobs:size ?trace ?metrics ?faults (fun t ->
-        mapi_results ~retries ~backoff ?cancel t f l)
+    with_pool ~jobs:size ?trace ?metrics ?faults (fun t -> mapi_results ~retries ?cancel t f l)
 
-let parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ?retries ?backoff f l =
-  parallel_mapi_results ?jobs ?trace ?metrics ?faults ?cancel ?retries ?backoff (fun _ x -> f x) l
+let parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ?retries f l =
+  parallel_mapi_results ?jobs ?trace ?metrics ?faults ?cancel ?retries (fun _ x -> f x) l

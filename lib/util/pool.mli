@@ -14,8 +14,8 @@
     calling domain.  The supervised maps ({!map_results},
     {!mapi_results}, {!parallel_map_results}, {!parallel_mapi_results})
     isolate failures per item instead: every input produces an
-    [(result, failure) result], optionally after bounded
-    retry-with-backoff — the discipline the 31-network study uses so a
+    [(result, failure) result], optionally after bounded retry — the
+    discipline the 31-network study uses so a
     single bad network cannot abort the other thirty.
 
     Either way the pool cannot deadlock on a failure: completion
@@ -118,31 +118,27 @@ type failure = {
 (** Why one input item failed. *)
 
 val map_results :
-  ?retries:int -> ?backoff:float -> ?cancel:Cancel.t -> t -> ('a -> 'b) -> 'a list ->
-  ('b, failure) result list
+  ?retries:int -> ?cancel:Cancel.t -> t -> ('a -> 'b) -> 'a list -> ('b, failure) result list
 (** Order-preserving supervised map: every input yields [Ok] or a
     {!failure}; an exception in one item never affects the others.
     [retries] (default 0) re-runs a failed item up to that many extra
-    times with exponential backoff ([backoff * 2{^attempt-1}] seconds,
-    default 0), counting [task.retried].  On a pool the backoff never
-    blocks a worker: the item is requeued with a not-before time and
-    the domain keeps serving other items.  [cancel] is polled (site
+    times, counting [task.retried]; on a pool the retry is requeued
+    behind the items still waiting.  [cancel] is polled (site
     ["pool.queued"]) before each item attempt, so once the token trips
     every not-yet-started item fails fast with a {!Timed_out} failure
     instead of running — the pool drains at poll speed. *)
 
 val mapi_results :
-  ?retries:int -> ?backoff:float -> ?cancel:Cancel.t -> t -> (int -> 'a -> 'b) -> 'a list ->
+  ?retries:int -> ?cancel:Cancel.t -> t -> (int -> 'a -> 'b) -> 'a list ->
   ('b, failure) result list
 
 val parallel_map_results :
   ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
-  ?cancel:Cancel.t -> ?retries:int -> ?backoff:float -> ('a -> 'b) -> 'a list ->
-  ('b, failure) result list
+  ?cancel:Cancel.t -> ?retries:int -> ('a -> 'b) -> 'a list -> ('b, failure) result list
 (** One-shot supervised map: create a pool, {!map_results}, shut down,
     with the same sequential short-circuits as {!parallel_map}. *)
 
 val parallel_mapi_results :
   ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
-  ?cancel:Cancel.t -> ?retries:int -> ?backoff:float -> (int -> 'a -> 'b) -> 'a list ->
+  ?cancel:Cancel.t -> ?retries:int -> (int -> 'a -> 'b) -> 'a list ->
   ('b, failure) result list

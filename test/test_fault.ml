@@ -202,16 +202,22 @@ let test_propagate_budget_degrades () =
 
 (* ------------------------------------------------------- study chaos --- *)
 
+(* The networks a [Driver.study] sweep built, and its failures, both in
+   net-id order. *)
+let partition_study results =
+  let items, failures = Rd_study.Population.partition (List.map snd results) in
+  (List.filter_map (fun (i : Rd_study.Driver.study_item) -> i.network) items, failures)
+
 let test_study_degrades_one_network () =
   let only = [ 3; 4; 8 ] in
   let clean = Rd_study.Population.build ~only ~jobs:2 ~master_seed:seed () in
   let metrics = Metrics.create () in
   let faults = plan "seed=5;study.network:raise:key=net4" in
   Fault.set_metrics faults (Some metrics);
-  let results =
-    Rd_study.Population.build_results ~only ~jobs:2 ~metrics ~faults ~master_seed:seed ()
+  let survivors, failures =
+    partition_study
+      (Rd_study.Driver.study ~only ~jobs:2 ~metrics ~faults ~master_seed:seed ())
   in
-  let survivors, failures = Rd_study.Population.partition results in
   check_int "two survivors" 2 (List.length survivors);
   check_int "one failure" 1 (List.length failures);
   let f = List.hd failures in
@@ -235,14 +241,13 @@ let test_study_degrades_one_network () =
   check_bool "fault.injected counted" true
     (Metrics.counter_value metrics "fault.injected" = Some 1)
 
-let test_build_results_clean_identical_to_build () =
+let test_study_clean_identical_to_build () =
   (* with faults disabled the supervised build is byte-identical to the
      fail-fast one *)
   let only = [ 3; 4 ] in
   let a = Rd_study.Population.build ~only ~jobs:2 ~master_seed:seed () in
   let b, failures =
-    Rd_study.Population.partition
-      (Rd_study.Population.build_results ~only ~jobs:2 ~master_seed:seed ())
+    partition_study (Rd_study.Driver.study ~only ~jobs:2 ~master_seed:seed ())
   in
   check_int "no failures" 0 (List.length failures);
   List.iter2
@@ -258,11 +263,11 @@ let test_study_retry_recovers_network () =
   (* max=1: the network fails once, the retry succeeds, nothing degrades *)
   let metrics = Metrics.create () in
   let faults = plan "seed=6;study.network:raise:key=net3:max=1" in
-  let results =
-    Rd_study.Population.build_results ~only:[ 3 ] ~jobs:2 ~metrics ~faults ~retries:1
-      ~master_seed:seed ()
+  let survivors, failures =
+    partition_study
+      (Rd_study.Driver.study ~only:[ 3 ] ~jobs:2 ~metrics ~faults ~retries:1
+         ~master_seed:seed ())
   in
-  let survivors, failures = Rd_study.Population.partition results in
   check_int "no failures after retry" 0 (List.length failures);
   check_int "network recovered" 1 (List.length survivors);
   check_bool "task.retried counted" true
@@ -272,11 +277,11 @@ let test_failure_report_matches_golden () =
   (* the failed-network report for the CI chaos smoke scenario matches
      the checked-in golden file byte for byte *)
   let results =
-    Rd_study.Population.build_results ~only:[ 3; 4; 8 ] ~jobs:2
+    Rd_study.Driver.study ~only:[ 3; 4; 8 ] ~jobs:2
       ~faults:(plan "seed=5;study.network:raise:key=net4")
       ~master_seed:seed ()
   in
-  let _, failures = Rd_study.Population.partition results in
+  let _, failures = partition_study results in
   let report = Rd_study.Population.render_failures ~total:(List.length results) failures in
   (* cwd is the test dir under `dune runtest`, the repo root under
      `dune exec test/test_fault.exe` *)
@@ -352,7 +357,7 @@ let () =
           Alcotest.test_case "one network degrades, thirty survive" `Quick
             test_study_degrades_one_network;
           Alcotest.test_case "clean supervised = fail-fast" `Quick
-            test_build_results_clean_identical_to_build;
+            test_study_clean_identical_to_build;
           Alcotest.test_case "retry recovers a network" `Quick
             test_study_retry_recovers_network;
           Alcotest.test_case "golden failure report" `Quick

@@ -229,13 +229,20 @@ let test_traced_build_identical () =
      | Some n -> n > 0
      | None -> false)
 
+(* The networks a [Driver.study] sweep built, and its failures, both in
+   net-id order. *)
+let partition_study results =
+  let items, failures = Rd_study.Population.partition (List.map snd results) in
+  (List.filter_map (fun (i : Rd_study.Driver.study_item) -> i.network) items, failures)
+
 let test_supervised_build_identical () =
   (* with faults disabled, the supervised (keep-going) build is
      byte-identical to the fail-fast build the study always used *)
   let subset = [ 1; 4; 8; 15 ] in
   let plain = Rd_study.Population.build ~only:subset ~jobs:2 ~master_seed:seed () in
-  let results = Rd_study.Population.build_results ~only:subset ~jobs:2 ~master_seed:seed () in
-  let supervised, failures = Rd_study.Population.partition results in
+  let supervised, failures =
+    partition_study (Rd_study.Driver.study ~only:subset ~jobs:2 ~master_seed:seed ())
+  in
   check_int "no failures" 0 (List.length failures);
   check_int "same count" (List.length plain) (List.length supervised);
   List.iter2
@@ -257,9 +264,9 @@ let test_degraded_full_study () =
     | Ok f -> f
     | Error e -> Alcotest.failf "fault spec: %s" e
   in
-  let results = Rd_study.Population.build_results ~metrics ~faults ~master_seed:seed () in
+  let results = Rd_study.Driver.study ~metrics ~faults ~master_seed:seed () in
   check_int "31 results" 31 (List.length results);
-  let survivors, failures = Rd_study.Population.partition results in
+  let survivors, failures = partition_study results in
   check_int "30 survivors" 30 (List.length survivors);
   (match failures with
    | [ f ] ->
@@ -385,8 +392,8 @@ let test_driver_study_resume_identical () =
   let oks results =
     List.map
       (function
-        | Ok (i : Rd_study.Driver.study_item) -> i
-        | Error (f : Rd_study.Population.failure) ->
+        | _, Ok (i : Rd_study.Driver.study_item) -> i
+        | _, Error (f : Rd_study.Population.failure) ->
           Alcotest.failf "%s failed: %s" f.spec.label (Printexc.to_string f.failure.exn))
       results
   in
@@ -469,7 +476,7 @@ let test_driver_task_timeout_degrades () =
       ~master_seed:seed ()
   in
   (match results with
-   | [ Error (f : Rd_study.Population.failure) ] ->
+   | [ (_, Error (f : Rd_study.Population.failure)) ] ->
      Alcotest.(check string) "net10 degraded" "net10" f.spec.label;
      (match f.failure.cause with
       | Rd_util.Pool.Timed_out (Rd_util.Cancel.Deadline _) -> ()
@@ -477,6 +484,44 @@ let test_driver_task_timeout_degrades () =
      check_bool "elapsed recorded" true (f.failure.elapsed >= 0.0)
    | _ -> Alcotest.fail "expected exactly one failure");
   check_int "nothing persisted" 0 (Rd_util.Store.stats (Rd_study.Checkpoint.store ck)).writes
+
+(* A task that trips the root token mid-sweep (what a [--deadline] or
+   SIGINT does): every wanted spec still yields exactly one result, and
+   every spec whose task never started comes back as a [Timed_out]
+   failure -- the sweep drops nothing. *)
+let test_sweep_root_cancel_reports_every_spec ~jobs () =
+  let only = [ 3; 4; 8; 10; 12 ] in
+  let root = Rd_util.Cancel.create () in
+  let metrics = Rd_util.Metrics.create () in
+  let mu = Mutex.create () in
+  let started = ref [] in
+  let results =
+    Rd_study.Driver.sweep ~jobs ~metrics ~cancel:root ~only ~stage:"test.network" ~salt:[]
+      ~master_seed:seed (fun _ (spec : Rd_study.Population.spec) ->
+        Mutex.protect mu (fun () -> started := spec.net_id :: !started);
+        if spec.net_id = 4 then Rd_util.Cancel.cancel ~reason:"test" root;
+        spec.net_id)
+  in
+  Alcotest.(check (list int)) "one result per wanted spec, in net-id order" only
+    (List.map (fun ((s : Rd_study.Population.spec), _) -> s.net_id) results);
+  List.iter
+    (fun ((spec : Rd_study.Population.spec), r) ->
+      match (List.mem spec.net_id !started, r) with
+      | true, Ok id -> check_int (spec.label ^ " carries its own result") spec.net_id id
+      | false, Error (f : Rd_study.Population.failure) -> (
+        Alcotest.(check string) "failure names its spec" spec.label f.spec.label;
+        match f.failure.cause with
+        | Rd_util.Pool.Timed_out (Rd_util.Cancel.Stopped "test") -> ()
+        | _ -> Alcotest.failf "%s: expected Timed_out (Stopped test)" spec.label)
+      | true, Error _ -> Alcotest.failf "%s started but failed" spec.label
+      | false, Ok _ -> Alcotest.failf "%s never started but succeeded" spec.label)
+    results;
+  let failed = List.filter (fun (_, r) -> Result.is_error r) results in
+  check_int "network.degraded counts every failure" (List.length failed)
+    (Option.value ~default:0 (Rd_util.Metrics.counter_value metrics "network.degraded"));
+  if jobs = 1 then
+    Alcotest.(check (list int)) "sequential: every spec after the cancel fails" [ 8; 10; 12 ]
+      (List.map (fun ((s : Rd_study.Population.spec), _) -> s.net_id) failed)
 
 let test_driver_whatif_resume_rows_identical () =
   with_checkpoint_dir @@ fun dir ->
@@ -537,6 +582,13 @@ let () =
           Alcotest.test_case "task timeout degrades" `Quick test_driver_task_timeout_degrades;
           Alcotest.test_case "whatif resume rows identical" `Quick
             test_driver_whatif_resume_rows_identical;
+        ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "root cancel reports every spec (jobs 1)" `Quick
+            (test_sweep_root_cancel_reports_every_spec ~jobs:1);
+          Alcotest.test_case "root cancel reports every spec (jobs 2)" `Quick
+            (test_sweep_root_cancel_reports_every_spec ~jobs:2);
         ] );
       ( "networks",
         [
