@@ -481,6 +481,16 @@ let observe ?(timing = Term.const false) ?(metrics_json = Term.const None) ~trac
 let print_failures ~total failures =
   if failures <> [] then print_string (Rd_study.Population.render_failures ~total failures)
 
+(* A sweep's [--json] report: the report object plus a [failures] array
+   (always present), so stdout stays one JSON value. *)
+let print_json_report report failures =
+  match report with
+  | Rd_util.Json.Obj fields ->
+    print_endline
+      (Rd_util.Json.to_string
+         (Obj (fields @ [ ("failures", Rd_study.Population.failures_to_json failures) ])))
+  | _ -> invalid_arg "print_json_report: the report is not a JSON object"
+
 (* The end of every sweep: the checkpoint store stats on stderr, then
    exit 130 if a signal stopped the run, else 1 if [failed].  A tripped
    [--deadline] is not a signal: it degrades per network into failure
@@ -697,9 +707,11 @@ let crosscheck_cmd =
                (spec.label, (fun () -> Rd_study.Population.generate_one spec), r))
     in
     let reports, failures = Rd_study.Population.partition (List.map (fun (_, _, r) -> r) results) in
-    if json then print_endline (Rd_util.Json.to_string (Rd_check.Crosscheck.to_json reports))
-    else print_string (Rd_check.Crosscheck.render reports);
-    print_failures ~total:(List.length results) failures;
+    if json then print_json_report (Rd_check.Crosscheck.to_json reports) failures
+    else begin
+      print_string (Rd_check.Crosscheck.render reports);
+      print_failures ~total:(List.length results) failures
+    end;
     if shrink then
       List.iter
         (fun (name, files, r) ->
@@ -772,9 +784,11 @@ let netlint_cmd =
         let reports, failures = Rd_study.Population.partition (List.map snd results) in
         (reports, failures, List.length results)
     in
-    if json then print_endline (Rd_util.Json.to_string (Rd_core.Netlint.to_json reports))
-    else print_string (Rd_core.Netlint.render reports);
-    print_failures ~total failures;
+    if json then print_json_report (Rd_core.Netlint.to_json reports) failures
+    else begin
+      print_string (Rd_core.Netlint.render reports);
+      print_failures ~total failures
+    end;
     conclude ~root (failures <> [] || Rd_core.Netlint.has_errors reports)
   in
   let rules_arg =

@@ -137,6 +137,19 @@ let render_failures ~total failures =
        rows);
   Buffer.contents buf
 
+let failures_to_json failures =
+  Rd_util.Json.List
+    (List.map
+       (fun f ->
+         Rd_util.Json.Obj
+           [
+             ("network", String f.spec.label);
+             ("routers", Int f.spec.n);
+             ("site", match f.failure.site with Some s -> String s | None -> Null);
+             ("error", String (Printexc.to_string f.failure.exn));
+           ])
+       failures)
+
 let repository_sizes ~master_seed ~count =
   let rng = Rd_util.Prng.create (master_seed + 777) in
   List.init count (fun _ ->

@@ -51,9 +51,10 @@ val build :
     {!Rd_util.Pool.default_jobs}); because every network is seeded from
     its own spec, the result is byte-identical to a sequential
     ([jobs = 1]) build, in net-id order.  This is the fail-fast
-    discipline: the first network whose analysis raises aborts the whole
-    build ([rdna study --fail-fast]); use [Driver.study] to degrade
-    per network instead. *)
+    discipline ([rdna study --fail-fast]): once a network fails, no
+    network with a higher id starts, and the build raises the failure
+    of the lowest-numbered failing network — the same one at any
+    [jobs].  Use [Driver.study] to degrade per network instead. *)
 
 type failure = { spec : spec; failure : Rd_util.Pool.failure }
 (** A network whose sweep task raised: which spec, plus the terminal
@@ -68,6 +69,11 @@ val render_failures : total:int -> failure list -> string
     header plus one table row per failure (network, routers, site,
     error).  This exact text is what [rdna study] prints and what the
     chaos-smoke golden file pins down. *)
+
+val failures_to_json : failure list -> Rd_util.Json.t
+(** The same rows as {!render_failures} for a [--json] report: one
+    [{network, routers, site, error}] object per failure, [site] [null]
+    when no fault/budget/cancel site is known. *)
 
 val repository_sizes : master_seed:int -> count:int -> int list
 (** Synthetic sizes for the 2,400-network repository of Figure 8 (heavy-

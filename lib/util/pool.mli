@@ -1,46 +1,37 @@
-(** Fixed-size OCaml 5 domain worker pool.
+(** OCaml 5 domain worker pool behind two order-preserving maps.
 
-    A pool owns [jobs] worker domains that pop closures off a
-    mutex/condition task queue.  The map combinators chunk the input by
-    index and write results into a shared array, so output order always
-    matches input order and a parallel map is observably identical to
-    its sequential counterpart — only wall-clock changes.  This is what
-    lets the parallel 31-network study (paper §2) promise byte-identical
-    output.
+    A map over more than one item with more than one job spawns [jobs]
+    worker domains that pop tasks off a mutex/condition queue, one task
+    per input item; each task writes its result into the item's slot of
+    a shared array, so output order always matches input order and a
+    parallel map is observably identical to its sequential counterpart
+    — only wall-clock changes.  This is what lets the parallel
+    31-network study (paper §2) promise byte-identical output.  One job,
+    at most one item, or a call from inside a pool worker short-circuits
+    to a sequential map without spawning any domain, so nested
+    parallelism degrades gracefully instead of deadlocking on pool
+    capacity.
 
-    Two error disciplines are offered.  The fail-fast maps ({!map},
-    {!mapi}, {!parallel_map}, {!parallel_mapi}) re-raise the first
-    exception raised by the mapped function (with its backtrace) in the
-    calling domain.  The supervised maps ({!map_results},
-    {!mapi_results}, {!parallel_map_results}, {!parallel_mapi_results})
-    isolate failures per item instead: every input produces an
-    [(result, failure) result], optionally after bounded retry — the
-    discipline the 31-network study uses so a
-    single bad network cannot abort the other thirty.
+    Both maps run on one per-item engine and differ only in what they
+    do with failures.  {!parallel_map_results} is supervised: every
+    input yields an [(result, failure) result], optionally after bounded
+    retry — the discipline the 31-network study uses so a single bad
+    network cannot abort the other thirty.  {!parallel_map} is
+    fail-fast: once an item fails, items with a higher index that have
+    not started are skipped, and the first failure in input order is
+    re-raised (with its backtrace) in the calling domain — exactly the
+    exception [List.map] would raise, whatever the job count.
 
-    Either way the pool cannot deadlock on a failure: completion
-    accounting runs in a finalizer, and a worker that catches an
-    exception escaping a task (counted as [pool.task_failures]) keeps
-    serving the queue.
-
-    Worker domains are flagged via domain-local storage: a parallel map
-    issued from inside a pool task runs sequentially rather than
-    deadlocking on pool capacity, so nested parallelism degrades
-    gracefully.
-
-    Pools cooperate with the observability layer: pass [?trace] and/or
-    [?metrics] to have every submitted task wrapped in a ["task"] span
-    (category ["pool"]) and counted into [pool.tasks],
-    [pool.queue_wait_ms], [pool.task_ms], [pool.workers], and
-    [pool.utilization]; retries bump [task.retried].  Pass [?faults] to
-    arm the ["pool.pickup"] {!Fault} site, which fires between task
-    pickup and execution — the chaos suite's stand-in for a worker dying
-    mid-task.  Workers flush their domain-local {!Trace} buffers before
-    exiting, so spans recorded inside tasks always survive the pool
-    join. *)
-
-type t
-(** A running pool of worker domains. *)
+    Either way the pool cannot deadlock on a failure: every task fills
+    its slot whatever it raises.  Pass [?trace] and/or [?metrics] to
+    have every task wrapped in a ["task"] span (category ["pool"]) and
+    counted into [pool.tasks], [pool.queue_wait_ms], [pool.task_ms],
+    [pool.workers], and [pool.utilization]; retries bump
+    [task.retried].  Pass [?faults] to arm the ["pool.pickup"] {!Fault}
+    site, which fires per item between task pickup and the call — the
+    chaos suite's stand-in for a worker dying mid-task.  Workers flush
+    their domain-local {!Trace} buffers before exiting, so spans
+    recorded inside tasks always survive the pool join. *)
 
 val default_jobs : unit -> int
 (** The [RDNA_JOBS] environment variable if set to a positive integer,
@@ -49,50 +40,12 @@ val default_jobs : unit -> int
 val in_worker : unit -> bool
 (** [true] when called from inside a pool worker domain. *)
 
-val create : ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t -> unit -> t
-(** [create ~jobs ()] spawns [max 1 jobs] worker domains
-    (default {!default_jobs}).  [?trace] and [?metrics] attach an
-    observability recorder/registry to every task run on the pool;
-    [?faults] arms the pool's injection sites. *)
-
-val jobs : t -> int
-(** Number of worker domains. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue a task.  A raw task that raises is dropped (its exception
-    counted as [pool.task_failures]); the worker survives and keeps
-    serving the queue.  Raises [Invalid_argument] after {!shutdown}. *)
-
-val shutdown : t -> unit
-(** Drain the queue, stop and join all workers, then publish the
-    [pool.workers] and [pool.utilization] gauges when a metrics
-    registry is attached.  Idempotent. *)
-
-val with_pool :
-  ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)
-
-(** {1 Fail-fast maps} *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map on an existing pool.  Falls back to
-    [List.map] when the pool has one worker, the list has at most one
-    element, or the caller is itself a pool worker. *)
-
-val mapi : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-
 val parallel_map :
   ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
   ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: create a pool, {!map}, shut down.  [~jobs:1]
-    (or a singleton/empty list, or a nested call) short-circuits to
-    [List.map] without spawning any domain. *)
-
-val parallel_mapi :
-  ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
-  (int -> 'a -> 'b) -> 'a list -> 'b list
-
-(** {1 Supervised maps} *)
+(** Fail-fast order-preserving map on a one-shot pool of [jobs] workers
+    (default {!default_jobs}).  [~jobs:1] (or a singleton/empty list, or
+    a nested call) is [List.map] itself. *)
 
 type cause =
   | Exn  (** an ordinary exception. *)
@@ -117,9 +70,11 @@ type failure = {
 }
 (** Why one input item failed. *)
 
-val map_results :
-  ?retries:int -> ?cancel:Cancel.t -> t -> ('a -> 'b) -> 'a list -> ('b, failure) result list
-(** Order-preserving supervised map: every input yields [Ok] or a
+val parallel_map_results :
+  ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
+  ?cancel:Cancel.t -> ?retries:int -> ('a -> 'b) -> 'a list -> ('b, failure) result list
+(** Supervised order-preserving map, with the same pool and sequential
+    short-circuits as {!parallel_map}: every input yields [Ok] or a
     {!failure}; an exception in one item never affects the others.
     [retries] (default 0) re-runs a failed item up to that many extra
     times, counting [task.retried]; on a pool the retry is requeued
@@ -127,18 +82,3 @@ val map_results :
     ["pool.queued"]) before each item attempt, so once the token trips
     every not-yet-started item fails fast with a {!Timed_out} failure
     instead of running — the pool drains at poll speed. *)
-
-val mapi_results :
-  ?retries:int -> ?cancel:Cancel.t -> t -> (int -> 'a -> 'b) -> 'a list ->
-  ('b, failure) result list
-
-val parallel_map_results :
-  ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
-  ?cancel:Cancel.t -> ?retries:int -> ('a -> 'b) -> 'a list -> ('b, failure) result list
-(** One-shot supervised map: create a pool, {!map_results}, shut down,
-    with the same sequential short-circuits as {!parallel_map}. *)
-
-val parallel_mapi_results :
-  ?jobs:int -> ?trace:Trace.t -> ?metrics:Metrics.t -> ?faults:Fault.t ->
-  ?cancel:Cancel.t -> ?retries:int -> (int -> 'a -> 'b) -> 'a list ->
-  ('b, failure) result list

@@ -14,7 +14,7 @@
 
     Spans are buffered {e per domain} (domain-local storage), so
     recording a span never takes a lock; a pool worker's buffer is merged
-    into the recorder when the worker exits ({!Pool.shutdown} joins
+    into the recorder when the worker exits (a {!Pool} map joins its
     workers, which flush via {!flush_current_domain}), and the exporting
     domain's buffer is merged on {!spans}/{!to_json}.  Spans recorded on
     a worker domain therefore become visible only after its pool has shut

@@ -89,8 +89,12 @@ let test_pool_order_preserved () =
   let input = List.init 100 (fun i -> i) in
   let out = Pool.parallel_map ~jobs:4 (fun x -> x * x) input in
   Alcotest.(check (list int)) "squares in order" (List.map (fun x -> x * x) input) out;
-  let outi = Pool.parallel_mapi ~jobs:4 (fun i x -> i + x) input in
-  Alcotest.(check (list int)) "mapi indices line up" (List.mapi (fun i x -> i + x) input) outi
+  Alcotest.(check (list (result int string)))
+    "supervised results in order"
+    (List.map (fun x -> Ok (x * x)) input)
+    (List.map
+       (Result.map_error (fun (f : Pool.failure) -> Printexc.to_string f.exn))
+       (Pool.parallel_map_results ~jobs:4 (fun x -> x * x) input))
 
 let test_pool_jobs1_equivalence () =
   let input = List.init 37 (fun i -> i) in
@@ -110,6 +114,47 @@ let test_pool_exception_propagation () =
   check_int "pool usable after error" 10
     (List.length (Pool.parallel_map ~jobs:4 (fun x -> x) (List.init 10 (fun i -> i))))
 
+exception Item_failed of int
+
+(* For any list, any set of failing items and any job count, the
+   fail-fast map raises exactly what [List.map] raises: the failure of
+   the lowest failing index, however the workers interleave. *)
+let prop_pool_fail_fast_lowest_index =
+  QCheck.Test.make ~name:"pool fail-fast raises the lowest failing index" ~count:150
+    QCheck.(pair (oneofl [ 1; 2; 4 ]) (list_of_size (Gen.int_bound 40) (pair small_int bool)))
+    (fun (jobs, items) ->
+      let input = List.mapi (fun i (v, fails) -> (i, v, fails)) items in
+      let f (i, v, fails) = if fails then raise (Item_failed i) else v * 3 in
+      let run map = match map f input with out -> Ok out | exception Item_failed i -> Error i in
+      run List.map = run (Pool.parallel_map ~jobs))
+
+let test_pool_fail_fast_skips_higher_items () =
+  (* Item 0 holds its worker until item 1 fails on the other one, then
+     fails too.  No item above a failed one may start after that
+     failure, and the exception is item 0's, whichever of the two
+     failures lands first. *)
+  let started = Array.init 10 (fun _ -> Atomic.make false) in
+  let item1_failed = Atomic.make false in
+  let f i =
+    Atomic.set started.(i) true;
+    match i with
+    | 0 ->
+      (* bounded, so a broken engine fails the test instead of hanging it *)
+      let give_up = Unix.gettimeofday () +. 5.0 in
+      while (not (Atomic.get item1_failed)) && Unix.gettimeofday () < give_up do
+        Unix.sleepf 0.001
+      done;
+      failwith "item 0"
+    | 1 ->
+      Atomic.set item1_failed true;
+      failwith "item 1"
+    | i -> i
+  in
+  Alcotest.check_raises "lowest index wins" (Failure "item 0") (fun () ->
+      ignore (Pool.parallel_map ~jobs:2 f (List.init 10 (fun i -> i))));
+  Alcotest.(check (list int)) "only items 0 and 1 started" [ 0; 1 ]
+    (List.filter (fun i -> Atomic.get started.(i)) (List.init 10 (fun i -> i)))
+
 let test_pool_nested_fallback () =
   check_bool "caller is not a worker" false (Pool.in_worker ());
   let out =
@@ -127,12 +172,12 @@ let test_pool_nested_fallback () =
     out
 
 let test_pool_persistent () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      check_int "pool size" 3 (Pool.jobs pool);
-      let a = Pool.map pool (fun x -> x + 1) [ 1; 2; 3 ] in
-      let b = Pool.mapi pool (fun i x -> i * x) [ 4; 5; 6 ] in
-      Alcotest.(check (list int)) "map" [ 2; 3; 4 ] a;
-      Alcotest.(check (list int)) "mapi" [ 0; 5; 12 ] b)
+  (* back-to-back maps on three workers each get a fresh pool; the
+     second must not see anything left behind by the first *)
+  let a = Pool.parallel_map ~jobs:3 (fun x -> x + 1) [ 1; 2; 3 ] in
+  let b = Pool.parallel_map ~jobs:3 (fun (i, x) -> i * x) [ (0, 4); (1, 5); (2, 6) ] in
+  Alcotest.(check (list int)) "map" [ 2; 3; 4 ] a;
+  Alcotest.(check (list int)) "indexed map" [ 0; 5; 12 ] b
 
 let test_pool_default_jobs_env () =
   let saved = Sys.getenv_opt "RDNA_JOBS" in
@@ -149,14 +194,6 @@ let fault_plan spec =
   | Ok f -> f
   | Error e -> Alcotest.failf "bad fault spec %S: %s" spec e
 
-let test_pool_raw_task_failure_survives () =
-  (* a raw submitted task that raises must not kill its worker or hang
-     the queue: later work on the same pool completes *)
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Pool.submit pool (fun () -> failwith "dead task");
-      let out = Pool.map pool (fun x -> x * 2) [ 1; 2; 3 ] in
-      Alcotest.(check (list int)) "pool still serves" [ 2; 4; 6 ] out)
-
 let test_pool_pickup_fault_no_deadlock () =
   (* a worker dying between task pickup and completion (the pool.pickup
      injection site) must not leave the map's all_done wait hanging: the
@@ -168,7 +205,7 @@ let test_pool_pickup_fault_no_deadlock () =
    with
   | _ -> Alcotest.fail "pickup fault should abort the fail-fast map"
   | exception Fault.Injected ("pool.pickup", _) -> ());
-  (* ...and the supervised map degrades every chunk to Error and returns *)
+  (* ...and the supervised map degrades every item to Error and returns *)
   let results =
     Pool.parallel_map_results ~jobs:2 ~faults:(fault_plan "seed=1;pool.pickup:raise")
       (fun x -> x)
@@ -1107,18 +1144,19 @@ let () =
           Alcotest.test_case "order preserved" `Quick test_pool_order_preserved;
           Alcotest.test_case "jobs=1 and jobs=4 equivalence" `Quick test_pool_jobs1_equivalence;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagation;
+          Alcotest.test_case "fail-fast skips higher items" `Quick
+            test_pool_fail_fast_skips_higher_items;
           Alcotest.test_case "nested fallback" `Quick test_pool_nested_fallback;
           Alcotest.test_case "persistent pool" `Quick test_pool_persistent;
           Alcotest.test_case "RDNA_JOBS env" `Quick test_pool_default_jobs_env;
-          Alcotest.test_case "raw task failure survives" `Quick
-            test_pool_raw_task_failure_survives;
           Alcotest.test_case "pickup fault no deadlock" `Quick
             test_pool_pickup_fault_no_deadlock;
           Alcotest.test_case "map_results isolation" `Quick test_pool_map_results_isolation;
           Alcotest.test_case "retry recovers" `Quick test_pool_retry_recovers;
           Alcotest.test_case "cancelled items time out" `Quick
             test_pool_cancelled_items_time_out;
-        ] );
+        ]
+        @ qc [ prop_pool_fail_fast_lowest_index ] );
       ( "cancel",
         [
           Alcotest.test_case "latch and check" `Quick test_cancel_latch_and_check;
