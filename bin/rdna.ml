@@ -478,6 +478,17 @@ let observe ?(timing = Term.const false) ?(metrics_json = Term.const None) ~trac
   in
   Term.(const make $ timing $ trace_file $ metrics_flag $ metrics_json)
 
+(* DIR mode runs its one network under the same supervision as a study
+   network: the pool classifies whatever [task] raises, so a tripped
+   [--deadline] or [--task-timeout] becomes a Timed_out failure row
+   (exit 1), as in [--study] mode, instead of escaping to [guard].  A
+   signal still ends in exit 130 through [conclude]. *)
+let supervise_dir ~root ~name files task =
+  Rd_util.Pool.parallel_map_results ~jobs:1 ~cancel:root task [ files ]
+  |> List.map
+       (Result.map_error (fun failure ->
+            { Rd_study.Population.network = name; routers = List.length files; failure }))
+
 let print_failures ~total failures =
   if failures <> [] then print_string (Rd_study.Population.render_failures ~total failures)
 
@@ -696,7 +707,8 @@ let crosscheck_cmd =
       | Dir d ->
         let name = Filename.basename d in
         let files = load_dir d in
-        [ (name, (fun () -> files), Ok (Rd_check.Crosscheck.run ~cancel ?faults ~name files)) ]
+        supervise_dir ~root ~name files (Rd_check.Crosscheck.run ~cancel ?faults ~name)
+        |> List.map (fun r -> (name, (fun () -> files), r))
       | Study { seed; only } ->
         (* The fault spec changes results, so it joins the resume key — a
            resumed run under different chaos misses instead of replaying. *)
@@ -771,7 +783,12 @@ let netlint_cmd =
       match target with
       | Dir d ->
         let name = Filename.basename d in
-        ([ Rd_core.Netlint.run ~cancel ?rules ~name (load_dir d) ], [], 1)
+        let files = load_dir d in
+        let reports, failures =
+          Rd_study.Population.partition
+            (supervise_dir ~root ~name files (Rd_core.Netlint.run ~cancel ?rules ~name))
+        in
+        (reports, failures, 1)
       | Study { seed; only } ->
         let results =
           Rd_study.Driver.sweep ~cancel:root ?task_timeout:budget.task_timeout ~jobs ?only

@@ -1,9 +1,9 @@
 (* Hash-consed prefix-set kernel.
 
    The representation is the same canonical binary trie as the original
-   structural implementation ([Prefix_set_ref], retained as the reference
-   semantics): a [Node] is kept only when its children are not both
-   [Empty] and not both [Full], so the shape of a set is unique.  On top
+   structural implementation (kept in test/ as the reference semantics):
+   a [Node] is kept only when its children are not both [Empty] and not
+   both [Full], so the shape of a set is unique.  On top
    of that invariant this kernel adds BDD-style hash-consing: every
    [Node] carries a globally-unique integer [id], and each domain owns a
    hashcons table mapping child identities to the one node built over

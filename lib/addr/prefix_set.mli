@@ -16,8 +16,8 @@
     sets that crossed a domain boundary compare via a structural
     fallback, so semantic equality is never lost — only sharing.
 
-    {!Prefix_set_ref} retains the original structural implementation as
-    the executable reference semantics; the test suite checks this
+    The original structural implementation lives on in the test suite
+    as the executable reference semantics, and the suite checks this
     kernel against it on random sets. *)
 
 type t

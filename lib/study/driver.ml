@@ -34,12 +34,12 @@ let sweep ?trace ?metrics ?faults ?cancel ?task_timeout ?(retries = 0) ?jobs ?ch
     Rd_util.Pool.parallel_map_results ?jobs ?trace ?metrics ?faults ?cancel ~retries run wanted
   in
   List.map2
-    (fun spec r ->
+    (fun (spec : Population.spec) r ->
       ( spec,
         Result.map_error
           (fun failure ->
             Rd_util.Metrics.incr metrics "network.degraded";
-            { Population.spec; failure })
+            { Population.network = spec.label; routers = spec.n; failure })
           r ))
     wanted results
 

@@ -10,26 +10,21 @@ val fig4 : Population.network -> string
 val fig8 : master_seed:int -> Population.network list -> string
 (** Network size distribution, study vs repository (Figure 8). *)
 
-val table1 : Population.network list -> string
+val table1_stats : Netstat.t list -> string
 (** Intra/inter role counts per protocol (Table 1). *)
 
-val table3 : Population.network list -> string
+val table3_stats : Netstat.t list -> string
 (** Interface-type census (Table 3). *)
 
-val fig11 : Population.network list -> string
+val fig11_stats : Netstat.t list -> string
 (** CDF of the percentage of packet-filter rules on internal links
     (Figure 11). *)
 
-val sec7 : Population.network list -> string
-(** Design classification and size statistics (§7.1, §7.2). *)
-
-val table1_stats : Netstat.t list -> string
-val table3_stats : Netstat.t list -> string
-val fig11_stats : Netstat.t list -> string
 val sec7_stats : Netstat.t list -> string
-(** The same four aggregates over checkpointable {!Netstat.t} digests.
-    The network-list entry points above are thin wrappers
-    ([f nets = f_stats (List.map Netstat.of_network nets)]), so a
+(** Design classification and size statistics (§7.1, §7.2).
+
+    These four aggregates read only {!Netstat.t} digests
+    ([List.map Netstat.of_network nets] for a fresh build), so a
     checkpoint-replayed study report is byte-identical to a fresh one by
     construction. *)
 

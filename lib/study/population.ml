@@ -107,7 +107,7 @@ let build ?only ?trace ?metrics ?jobs ?faults ?limits ~master_seed () =
     (build_network ?trace ?metrics ?jobs ?faults ?limits)
     (wanted_specs ?only ~master_seed ())
 
-type failure = { spec : spec; failure : Rd_util.Pool.failure }
+type failure = { network : string; routers : int; failure : Rd_util.Pool.failure }
 
 let partition results =
   List.partition_map
@@ -122,8 +122,8 @@ let render_failures ~total failures =
     List.map
       (fun f ->
         [
-          f.spec.label;
-          string_of_int f.spec.n;
+          f.network;
+          string_of_int f.routers;
           Option.value ~default:"-" f.failure.site;
           Printexc.to_string f.failure.exn;
         ])
@@ -143,8 +143,8 @@ let failures_to_json failures =
        (fun f ->
          Rd_util.Json.Obj
            [
-             ("network", String f.spec.label);
-             ("routers", Int f.spec.n);
+             ("network", String f.network);
+             ("routers", Int f.routers);
              ("site", match f.failure.site with Some s -> String s | None -> Null);
              ("error", String (Printexc.to_string f.failure.exn));
            ])

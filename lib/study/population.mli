@@ -56,10 +56,11 @@ val build :
     of the lowest-numbered failing network — the same one at any
     [jobs].  Use [Driver.study] to degrade per network instead. *)
 
-type failure = { spec : spec; failure : Rd_util.Pool.failure }
-(** A network whose sweep task raised: which spec, plus the terminal
-    exception, its site (when a fault/budget site is known), attempt
-    count, and elapsed time. *)
+type failure = { network : string; routers : int; failure : Rd_util.Pool.failure }
+(** A network whose sweep task raised: its label and router count (a
+    study spec's, or a configuration directory's name and file count),
+    plus the terminal exception, its site (when a fault/budget site is
+    known), attempt count, and elapsed time. *)
 
 val partition : ('a, failure) result list -> 'a list * failure list
 (** Split into (survivors, failures), both order-preserving. *)

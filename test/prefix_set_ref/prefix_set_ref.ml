@@ -4,7 +4,9 @@
    the children are not both [Empty] and not both [Full], so structural
    equality is semantic equality.  No sharing, no memoization — every
    operation rebuilds nodes.  Used by the qcheck agreement properties in
-   [test_addr] and as the pre-kernel baseline in the bench harness. *)
+   [test_addr] and as the pre-kernel baseline of the bench's reach gate. *)
+
+open Rd_addr
 
 type t = Empty | Full | Node of t * t
 

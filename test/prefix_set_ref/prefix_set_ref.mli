@@ -1,13 +1,15 @@
 (** Reference prefix sets: the original structural (non-hash-consed)
-    implementation of {!Prefix_set}, retained as executable reference
-    semantics.
+    implementation of {!Rd_addr.Prefix_set}, retained as executable
+    reference semantics.
 
     Every operation rebuilds trie nodes and equality is a structural
     compare.  The qcheck agreement suite checks the hash-consed kernel
-    against this module operation by operation, and the bench harness
-    uses it as the pre-kernel baseline when measuring the reachability
-    fixpoint speedup.  Production code should always use
-    {!Prefix_set}. *)
+    against this module operation by operation, and the bench's reach
+    gate uses it as the pre-kernel baseline when measuring the
+    reachability fixpoint speedup.  This test-only library is not
+    installed; production code uses {!Rd_addr.Prefix_set}. *)
+
+open Rd_addr
 
 type t = Empty | Full | Node of t * t
 (** Exposed so tests can assert canonicity directly. *)
@@ -40,8 +42,8 @@ val is_empty : t -> bool
 (** O(1) by canonicity. *)
 
 val equal : t -> t -> bool
-(** Structural equality — the specification {!Prefix_set.equal} must
-    agree with. *)
+(** Structural equality — the specification
+    {!Rd_addr.Prefix_set.equal} must agree with. *)
 
 val subset : t -> t -> bool
 (** [subset a b]: [a] ⊆ [b], by structural descent. *)

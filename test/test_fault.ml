@@ -221,7 +221,7 @@ let test_study_degrades_one_network () =
   check_int "two survivors" 2 (List.length survivors);
   check_int "one failure" 1 (List.length failures);
   let f = List.hd failures in
-  check_string "failed network" "net4" f.spec.label;
+  check_string "failed network" "net4" f.network;
   check_bool "site recorded" true (f.failure.site = Some "study.network");
   check_string "stable error text" "injected fault at study.network [net4]"
     (Printexc.to_string f.failure.exn);

@@ -147,10 +147,11 @@ let test_full_study () =
   let net5 = List.find (fun (n : Rd_study.Population.network) -> n.spec.net_id = 5) nets in
   check_bool "fig4" true (String.length (Rd_study.Experiments.fig4 net5) > 0);
   check_bool "fig8" true (String.length (Rd_study.Experiments.fig8 ~master_seed:seed nets) > 0);
-  check_bool "table1" true (String.length (Rd_study.Experiments.table1 nets) > 0);
-  check_bool "table3" true (String.length (Rd_study.Experiments.table3 nets) > 0);
-  check_bool "fig11" true (String.length (Rd_study.Experiments.fig11 nets) > 0);
-  check_bool "sec7" true (String.length (Rd_study.Experiments.sec7 nets) > 0);
+  let stats = List.map Rd_study.Netstat.of_network nets in
+  check_bool "table1" true (String.length (Rd_study.Experiments.table1_stats stats) > 0);
+  check_bool "table3" true (String.length (Rd_study.Experiments.table3_stats stats) > 0);
+  check_bool "fig11" true (String.length (Rd_study.Experiments.fig11_stats stats) > 0);
+  check_bool "sec7" true (String.length (Rd_study.Experiments.sec7_stats stats) > 0);
   check_bool "net5 case" true (String.length (Rd_study.Experiments.net5_case net5) > 0);
   check_bool "ablation instances" true
     (String.length (Rd_study.Experiments.ablation_instances [ net5 ]) > 0);
@@ -173,10 +174,13 @@ let test_parallel_build_deterministic () =
         (Rd_core.Analysis.summary b.analysis))
     seq par;
   (* experiment tables built from both populations agree *)
-  Alcotest.(check string) "table1 identical" (Rd_study.Experiments.table1 seq)
-    (Rd_study.Experiments.table1 par);
-  Alcotest.(check string) "fig11 identical" (Rd_study.Experiments.fig11 seq)
-    (Rd_study.Experiments.fig11 par)
+  let stats nets = List.map Rd_study.Netstat.of_network nets in
+  Alcotest.(check string) "table1 identical"
+    (Rd_study.Experiments.table1_stats (stats seq))
+    (Rd_study.Experiments.table1_stats (stats par));
+  Alcotest.(check string) "fig11 identical"
+    (Rd_study.Experiments.fig11_stats (stats seq))
+    (Rd_study.Experiments.fig11_stats (stats par))
 
 let test_traced_build_identical () =
   (* tracing and metrics are purely observational: a traced build's
@@ -270,7 +274,7 @@ let test_degraded_full_study () =
   check_int "30 survivors" 30 (List.length survivors);
   (match failures with
    | [ f ] ->
-     Alcotest.(check string) "net7 failed" "net7" f.spec.label;
+     Alcotest.(check string) "net7 failed" "net7" f.network;
      check_bool "site recorded" true (f.failure.site = Some "study.network");
      Alcotest.(check string) "stable error" "injected fault at study.network [net7]"
        (Printexc.to_string f.failure.exn)
@@ -346,16 +350,16 @@ let test_netstat_codec_roundtrip () =
   (* the aggregate renderers see no difference between fresh and
      replayed stats — the byte-identity --resume relies on *)
   Alcotest.(check string) "sec7 identical"
-    (Rd_study.Experiments.sec7 nets)
+    (Rd_study.Experiments.sec7_stats stats)
     (Rd_study.Experiments.sec7_stats roundtripped);
   Alcotest.(check string) "table1 identical"
-    (Rd_study.Experiments.table1 nets)
+    (Rd_study.Experiments.table1_stats stats)
     (Rd_study.Experiments.table1_stats roundtripped);
   Alcotest.(check string) "table3 identical"
-    (Rd_study.Experiments.table3 nets)
+    (Rd_study.Experiments.table3_stats stats)
     (Rd_study.Experiments.table3_stats roundtripped);
   Alcotest.(check string) "fig11 identical"
-    (Rd_study.Experiments.fig11 nets)
+    (Rd_study.Experiments.fig11_stats stats)
     (Rd_study.Experiments.fig11_stats roundtripped);
   List.iter2
     (fun (n : Rd_study.Population.network) st ->
@@ -394,7 +398,7 @@ let test_driver_study_resume_identical () =
       (function
         | _, Ok (i : Rd_study.Driver.study_item) -> i
         | _, Error (f : Rd_study.Population.failure) ->
-          Alcotest.failf "%s failed: %s" f.spec.label (Printexc.to_string f.failure.exn))
+          Alcotest.failf "%s failed: %s" f.network (Printexc.to_string f.failure.exn))
       results
   in
   (* pass 1: cold, persists every completed network *)
@@ -477,7 +481,7 @@ let test_driver_task_timeout_degrades () =
   in
   (match results with
    | [ (_, Error (f : Rd_study.Population.failure)) ] ->
-     Alcotest.(check string) "net10 degraded" "net10" f.spec.label;
+     Alcotest.(check string) "net10 degraded" "net10" f.network;
      (match f.failure.cause with
       | Rd_util.Pool.Timed_out (Rd_util.Cancel.Deadline _) -> ()
       | _ -> Alcotest.fail "expected Timed_out (Deadline _)");
@@ -509,7 +513,7 @@ let test_sweep_root_cancel_reports_every_spec ~jobs () =
       match (List.mem spec.net_id !started, r) with
       | true, Ok id -> check_int (spec.label ^ " carries its own result") spec.net_id id
       | false, Error (f : Rd_study.Population.failure) -> (
-        Alcotest.(check string) "failure names its spec" spec.label f.spec.label;
+        Alcotest.(check string) "failure names its spec" spec.label f.network;
         match f.failure.cause with
         | Rd_util.Pool.Timed_out (Rd_util.Cancel.Stopped "test") -> ()
         | _ -> Alcotest.failf "%s: expected Timed_out (Stopped test)" spec.label)
